@@ -1,6 +1,5 @@
 #include "src/baselines/cops_dc.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace saturn {
@@ -32,11 +31,7 @@ uint32_t CopsDc::CountMissing(const DepVec& deps) const {
 }
 
 void CopsDc::Apply(const RemotePayload& payload) {
-  SimTime floor = std::max(last_visible_, sim_->Now());
-  ApplyRemoteUpdate(payload, floor, [this, uid = payload.label.uid](SimTime t) {
-    last_visible_ = t;
-    OnDependencyApplied(uid);
-  });
+  ApplyOrdered(payload, [this, uid = payload.label.uid](SimTime) { OnDependencyApplied(uid); });
 }
 
 void CopsDc::OnDependencyApplied(uint64_t uid) {
@@ -63,29 +58,15 @@ void CopsDc::OnDependencyApplied(uint64_t uid) {
     }
   }
 
-  // Unblock attaches; compact survivors in place.
-  size_t keep = 0;
-  for (size_t i = 0; i < attach_waiters_.size(); ++i) {
-    AttachWaiter& w = attach_waiters_[i];
-    bool waits_on_this = false;
+  // Unblock attaches whose last missing dependency this was.
+  ReleaseAttachWaiters([uid](AttachWaiter& w) {
     for (const auto& dep : w.req.explicit_deps) {
       if (dep.uid == uid) {
-        waits_on_this = true;
-        break;
+        return --w.missing == 0;
       }
     }
-    if (waits_on_this && --w.missing == 0) {
-      SimTime when = std::max(last_visible_, sim_->Now()) +
-                     CostModel::AsTime(config_.costs.attach_base_us);
-      sim_->At(when, [this, w = std::move(w)]() { FinishAttach(w.from, w.req); });
-    } else {
-      if (keep != i) {
-        attach_waiters_[keep] = std::move(attach_waiters_[i]);
-      }
-      ++keep;
-    }
-  }
-  attach_waiters_.resize(keep);
+    return false;
+  });
 }
 
 void CopsDc::OnRemotePayload(const RemotePayload& payload) {
@@ -109,9 +90,7 @@ void CopsDc::OnRemotePayload(const RemotePayload& payload) {
 void CopsDc::HandleAttach(NodeId from, const ClientRequest& req) {
   uint32_t missing = CountMissing(req.explicit_deps);
   if (missing == 0) {
-    SimTime when = std::max(last_visible_, sim_->Now()) +
-                   CostModel::AsTime(config_.costs.attach_base_us);
-    sim_->At(when, [this, from, req]() { FinishAttach(from, req); });
+    CompleteAttach(from, req);
     return;
   }
   attach_waiters_.push_back(AttachWaiter{from, req, missing});

@@ -20,8 +20,6 @@
 #ifndef SRC_BASELINES_COPS_DC_H_
 #define SRC_BASELINES_COPS_DC_H_
 
-#include <vector>
-
 #include "src/common/flat_map.h"
 #include "src/common/inline_vec.h"
 #include "src/core/datacenter.h"
@@ -63,12 +61,6 @@ class CopsDc : public DatacenterBase {
     RemotePayload payload;
     uint32_t missing = 0;  // unapplied local dependencies
   };
-  struct AttachWaiter {
-    NodeId from;
-    ClientRequest req;
-    uint32_t missing = 0;
-  };
-
   // Dependencies on keys this DC replicates that have not been applied yet.
   uint32_t CountMissing(const DepVec& deps) const;
   void OnDependencyApplied(uint64_t uid);
@@ -79,8 +71,6 @@ class CopsDc : public DatacenterBase {
   // handful of updates, so the list stays inline.
   FlatMap<uint64_t, InlineVec<uint64_t, 4>> blocked_on_;
   FlatMap<uint64_t, Waiter> waiting_;  // keyed by update uid
-  std::vector<AttachWaiter> attach_waiters_;
-  SimTime last_visible_ = 0;
   Accumulator dep_sizes_;
 };
 

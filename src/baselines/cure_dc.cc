@@ -11,28 +11,7 @@ void CureDc::Start() {
 }
 
 void CureDc::StabilizationRound() {
-  for (auto& gear : gears_) {
-    gear->queue().Submit(sim_->Now(), config_.costs.StabilizationCost(num_dcs_));
-  }
-  bool advanced = false;
-  if (staged_.size() == num_dcs_) {
-    for (DcId dc = 0; dc < num_dcs_; ++dc) {
-      if (dc != config_.id && staged_[dc] > stable_[dc]) {
-        stable_[dc] = staged_[dc];
-        advanced = true;
-      }
-    }
-  }
-  staged_.assign(num_dcs_, -1);
-  for (DcId dc = 0; dc < num_dcs_; ++dc) {
-    int64_t min_ts = kSimTimeNever;
-    for (uint32_t g = 0; g < config_.num_gears; ++g) {
-      min_ts = std::min(min_ts, GearTs(dc, g));
-    }
-    if (min_ts != kSimTimeNever) {
-      staged_[dc] = min_ts;
-    }
-  }
+  bool advanced = Stabilize();
   if (advanced || num_dcs_ == 1) {
     if (trace_ != nullptr && advanced) {
       trace_->Instant(sim_->Now(), trace_track_, "sv.advance", nullptr, 0,
@@ -44,16 +23,14 @@ void CureDc::StabilizationRound() {
 
 void CureDc::DrainVisible() {
   // Drain eligibility is per origin (that is Cure's latency advantage over
-  // GentleRain's global minimum), but visibility uses a single monotone
+  // GentleRain's global minimum), but visibility uses the single monotone
   // chain: within a pass updates drain in label order, and across passes an
   // eligible update's dependencies were eligible no later than it (clients
   // merge dependency vectors on reads), so the chained call order respects
   // causality even across origins.
   //
-  // Each pass walks the sorted vector once and compacts survivors in place —
-  // the iteration order (ascending label, retry every survivor each pass)
-  // matches the multiset-erase loop this replaces exactly, so the event
-  // trace is unchanged; only the per-payload tree-node allocations are gone.
+  // Each pass walks the sorted buffer once, retrying every survivor, and
+  // compacts survivors in place.
   bool progress = true;
   while (progress) {
     progress = false;
@@ -62,9 +39,7 @@ void CureDc::DrainVisible() {
       RemotePayload& p = pending_[i];
       DcId origin = p.label.origin_dc();
       if (p.label.ts <= stable_[origin] && Covers(p.dep_vector)) {
-        SimTime floor = std::max(last_visible_, sim_->Now());
-        ApplyRemoteUpdate(p, floor, [this, &p](SimTime t) {
-          last_visible_ = t;
+        ApplyOrdered(p, [this, &p](SimTime t) {
           // The store Put lands at t, not now: update the dep map at the same
           // instant (the event queue keeps it adjacent to the Put) so a read
           // served in between still gets the dep vector of the version it
@@ -86,34 +61,17 @@ void CureDc::DrainVisible() {
     pending_.resize(keep);
   }
 
-  size_t keep = 0;
-  for (size_t i = 0; i < attach_waiters_.size(); ++i) {
-    Waiter& w = attach_waiters_[i];
-    if (Covers(w.req.client_vector)) {
-      // The client's causal past is stable; everything it depends on has been
-      // scheduled for visibility. Complete after the chain catches up.
-      SimTime when = std::max(sim_->Now(), last_visible_);
-      sim_->At(when, [this, w = std::move(w)]() { FinishAttach(w.from, w.req); });
-    } else {
-      if (keep != i) {
-        attach_waiters_[keep] = std::move(attach_waiters_[i]);
-      }
-      ++keep;
-    }
-  }
-  attach_waiters_.resize(keep);
+  // A client whose causal past is stable has everything it depends on
+  // scheduled for visibility.
+  ReleaseAttachWaiters([this](const AttachWaiter& w) { return Covers(w.req.client_vector); });
 }
 
 void CureDc::HandleAttach(NodeId from, const ClientRequest& req) {
   if (req.client_vector.empty() || Covers(req.client_vector)) {
-    // Everything the client observed is stable, but applies scheduled on the
-    // visibility chain may still be in flight; complete after they land.
-    SimTime when = std::max(sim_->Now(), last_visible_) +
-                   CostModel::AsTime(config_.costs.attach_base_us);
-    sim_->At(when, [this, from, req]() { FinishAttach(from, req); });
+    CompleteAttach(from, req);
     return;
   }
-  attach_waiters_.push_back(Waiter{from, req});
+  attach_waiters_.push_back(AttachWaiter{from, req});
 }
 
 void CureDc::FillPayloadMetadata(const ClientRequest& req, RemotePayload* payload) {
@@ -158,39 +116,6 @@ void CureDc::AugmentReadResponse(const ClientRequest& req, const VersionedValue*
   }
 }
 
-void CureDc::OnRemotePayload(const RemotePayload& payload) {
-  DcId origin = payload.label.origin_dc();
-  uint32_t gear = SourceGear(payload.label.src);
-  SAT_CHECK(origin < num_dcs_ && gear < config_.num_gears);
-  int64_t& gear_ts = GearTs(origin, gear);
-  if (payload.label.ts > gear_ts) {
-    gear_ts = payload.label.ts;
-  }
-  auto pos = std::upper_bound(pending_.begin(), pending_.end(), payload,
-                              [](const RemotePayload& a, const RemotePayload& b) {
-                                return a.label < b.label;
-                              });
-  pending_.insert(pos, payload);
-  if (trace_ != nullptr) {
-    trace_->Hop(sim_->Now(), trace_track_, "payload.buffered", payload.label.uid,
-                payload.label.ts, origin);
-    if (trace_->WantJourney(payload.label.uid)) {
-      trace_->JourneyHop(sim_->Now(), payload.label.uid, obs::HopKind::kBuffered,
-                         trace_track_, static_cast<int32_t>(config_.id),
-                         payload.label.ts, payload.label.src);
-    }
-  }
-}
-
-void CureDc::OnOtherMessage(NodeId from, const Message& msg) {
-  (void)from;
-  if (const auto* hb = std::get_if<BulkHeartbeat>(&msg)) {
-    SAT_CHECK(hb->origin < num_dcs_ && hb->gear < config_.num_gears);
-    int64_t& gear_ts = GearTs(hb->origin, hb->gear);
-    if (hb->ts > gear_ts) {
-      gear_ts = hb->ts;
-    }
-  }
-}
+void CureDc::OnRemotePayload(const RemotePayload& payload) { BufferRemote(payload); }
 
 }  // namespace saturn

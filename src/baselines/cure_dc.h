@@ -11,13 +11,12 @@
 // throughput in the paper's experiments.
 //
 // Hot-path state is allocation-free in steady state: vectors are DcVec
-// (inline small-buffers, messages.h), the per-key dependency table is an
-// open-addressed FlatMap, gear timestamps live in one flat [dc][gear] array,
-// and the pending set is a sorted vector whose drain compacts in place.
+// (inline small-buffers, messages.h) and the per-key dependency table is an
+// open-addressed FlatMap. The gear timestamps, the pending buffer, the
+// visibility chain and the two-stage stabilization round (which yields SV)
+// are DatacenterBase's; this class supplies the per-origin drain predicate.
 #ifndef SRC_BASELINES_CURE_DC_H_
 #define SRC_BASELINES_CURE_DC_H_
-
-#include <vector>
 
 #include "src/common/flat_map.h"
 #include "src/core/datacenter.h"
@@ -28,9 +27,7 @@ class CureDc : public DatacenterBase {
  public:
   CureDc(Simulator* sim, Network* net, const DatacenterConfig& config, uint32_t num_dcs,
          ReplicaResolver resolver, Metrics* metrics, CausalityOracle* oracle)
-      : DatacenterBase(sim, net, config, num_dcs, resolver, metrics, oracle),
-        gear_ts_(static_cast<size_t>(num_dcs) * config.num_gears, -1),
-        stable_(num_dcs, -1) {}
+      : DatacenterBase(sim, net, config, num_dcs, resolver, metrics, oracle) {}
 
   void Start() override;
 
@@ -39,7 +36,6 @@ class CureDc : public DatacenterBase {
  protected:
   void HandleAttach(NodeId from, const ClientRequest& req) override;
   void OnRemotePayload(const RemotePayload& payload) override;
-  void OnOtherMessage(NodeId from, const Message& msg) override;
   void FillPayloadMetadata(const ClientRequest& req, RemotePayload* payload) override;
   void AugmentReadResponse(const ClientRequest& req, const VersionedValue* version,
                            ClientResponse* resp) override;
@@ -56,10 +52,6 @@ class CureDc : public DatacenterBase {
   }
 
  private:
-  struct Waiter {
-    NodeId from;
-    ClientRequest req;
-  };
   // Dependency vector of the latest stored version of a key.
   struct KeyDeps {
     Label label{};
@@ -76,27 +68,10 @@ class CureDc : public DatacenterBase {
     return true;
   }
 
-  int64_t& GearTs(DcId dc, uint32_t gear) {
-    return gear_ts_[static_cast<size_t>(dc) * config_.num_gears + gear];
-  }
-
   void StabilizationRound();
   void DrainVisible();
   void RecordKeyDeps(const Label& label, KeyId key, const DcVec& deps);
 
-  // Last received ts per (dc, gear), flattened to one cache-friendly array.
-  std::vector<int64_t> gear_ts_;
-  // Like GentleRain, Cure's stable vector is computed in two stacked rounds:
-  // partitions aggregate first (staged_), the DC-level SV lags one round.
-  DcVec staged_;
-  DcVec stable_;  // SV, one entry per DC
-  // Pending remote updates, kept sorted by label; applied in label order.
-  // A sorted vector (not a multiset) so steady-state traffic recycles the
-  // same slots instead of allocating a tree node per payload.
-  std::vector<RemotePayload> pending_;
-  std::vector<Waiter> attach_waiters_;
-  // Single monotone visibility floor shared by all origins (see DrainVisible).
-  SimTime last_visible_ = 0;
   // The dependency vector of the latest version of each locally stored key,
   // returned with reads so clients can merge full causal pasts.
   FlatMap<KeyId, KeyDeps> key_deps_;

@@ -16,10 +16,9 @@ class EventualDc : public DatacenterBase {
   using DatacenterBase::DatacenterBase;
 
  protected:
-  void HandleAttach(NodeId from, const ClientRequest& req) override {
-    SimTime done = sim_->Now() + CostModel::AsTime(config_.costs.attach_base_us);
-    sim_->At(done, [this, from, req]() { FinishAttach(from, req); });
-  }
+  // Nothing is ever ordered on the visibility chain here, so an attach
+  // completes after just the frontend cost.
+  void HandleAttach(NodeId from, const ClientRequest& req) override { CompleteAttach(from, req); }
 
   void OnRemotePayload(const RemotePayload& payload) override {
     ApplyRemoteUpdate(payload, /*min_visible=*/0);

@@ -14,37 +14,17 @@ void GentleRainDc::Start() {
 }
 
 void GentleRainDc::StabilizationRound() {
-  // The round itself costs CPU at every gear (intra-DC metadata exchange).
-  for (auto& gear : gears_) {
-    gear->queue().Submit(sim_->Now(), config_.costs.StabilizationCost(num_dcs_));
-  }
-
-  // Stage 1 (previous round): the GST is the minimum of the per-partition
-  // aggregates computed one round ago. Stage 2: re-aggregate for next round.
-  int64_t new_gst = kSimTimeNever;
-  for (DcId dc = 0; dc < num_dcs_; ++dc) {
-    if (dc == config_.id) {
-      continue;
-    }
-    new_gst = std::min(new_gst, dc < staged_.size() ? staged_[dc] : int64_t{-1});
-  }
-  if (num_dcs_ <= 1) {
-    new_gst = clock_.Now();
-  }
-
-  staged_.assign(num_dcs_, kSimTimeNever);
-  for (DcId dc = 0; dc < num_dcs_; ++dc) {
-    staged_[dc] = -1;
-    int64_t min_ts = kSimTimeNever;
-    for (uint32_t g = 0; g < config_.num_gears; ++g) {
-      min_ts = std::min(min_ts, GearTs(dc, g));
-    }
-    if (min_ts != kSimTimeNever) {
-      staged_[dc] = min_ts;
+  Stabilize();
+  int64_t new_gst = clock_.Now();  // a lone datacenter is always stable
+  if (num_dcs_ > 1) {
+    new_gst = kSimTimeNever;
+    for (DcId dc = 0; dc < num_dcs_; ++dc) {
+      if (dc != config_.id) {
+        new_gst = std::min(new_gst, stable_[dc]);
+      }
     }
   }
-
-  if (new_gst != kSimTimeNever && new_gst > gst_) {
+  if (new_gst > gst_) {
     gst_ = new_gst;
     if (trace_ != nullptr) {
       trace_->Instant(sim_->Now(), trace_track_, "gst.advance", nullptr, gst_,
@@ -55,39 +35,11 @@ void GentleRainDc::StabilizationRound() {
 }
 
 void GentleRainDc::DrainVisible() {
-  // Make every pending remote update with ts <= GST visible, in label order.
-  // The ordered-visibility chain models GentleRain's semantics: the GST
-  // advance exposes a timestamp-prefix of remote updates atomically. The
-  // eligible set is a prefix of the sorted vector; applies never mutate
-  // pending_ (the visibility chain defers through the event queue), so the
-  // prefix is applied in order and erased in one shift.
-  size_t eligible = 0;
-  while (eligible < pending_.size() && pending_[eligible].label.ts <= gst_) {
-    RemotePayload& payload = pending_[eligible];
-    SimTime min_visible = last_visible_ > sim_->Now() ? last_visible_ : sim_->Now();
-    ApplyRemoteUpdate(payload, min_visible, [this](SimTime t) { last_visible_ = t; });
-    ++eligible;
-  }
-  if (eligible > 0) {
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(eligible));
-  }
-
-  // Unblock attaches whose dependency time is now stable; compact survivors
-  // in place.
-  SimTime unblock_at = last_visible_ > sim_->Now() ? last_visible_ : sim_->Now();
-  size_t keep = 0;
-  for (size_t i = 0; i < attach_waiters_.size(); ++i) {
-    Waiter& w = attach_waiters_[i];
-    if (w.need_ts <= gst_) {
-      sim_->At(unblock_at, [this, w = std::move(w)]() { FinishAttach(w.from, w.req); });
-    } else {
-      if (keep != i) {
-        attach_waiters_[keep] = std::move(attach_waiters_[i]);
-      }
-      ++keep;
-    }
-  }
-  attach_waiters_.resize(keep);
+  // The GST advance exposes a timestamp-prefix of remote updates, applied in
+  // label order on the visibility chain; then attaches whose dependency time
+  // is now stable complete.
+  ApplyPendingUpTo(gst_);
+  ReleaseAttachWaiters([this](const AttachWaiter& w) { return w.req.client_label.ts <= gst_; });
 }
 
 void GentleRainDc::HandleAttach(NodeId from, const ClientRequest& req) {
@@ -98,51 +50,16 @@ void GentleRainDc::HandleAttach(NodeId from, const ClientRequest& req) {
   // causal past from a remote one, so even a client whose label came from
   // this datacenter waits out the GST lag — this is exactly the
   // false-dependency cost the paper attributes to scalar compression.
-  // Applies already scheduled on the visibility chain may still be in
-  // flight; complete after they land.
   if (label.ts < 0 || label.ts <= gst_) {
-    SimTime when = std::max(sim_->Now(), last_visible_) +
-                   CostModel::AsTime(config_.costs.attach_base_us);
-    sim_->At(when, [this, from, req]() { FinishAttach(from, req); });
+    CompleteAttach(from, req);
     return;
   }
-  attach_waiters_.push_back(Waiter{from, req, label.ts});
+  attach_waiters_.push_back(AttachWaiter{from, req});
 }
 
 void GentleRainDc::OnRemotePayload(const RemotePayload& payload) {
-  DcId origin = payload.label.origin_dc();
-  uint32_t gear = SourceGear(payload.label.src);
-  SAT_CHECK(origin < num_dcs_ && gear < config_.num_gears);
-  int64_t& gear_ts = GearTs(origin, gear);
-  if (payload.label.ts > gear_ts) {
-    gear_ts = payload.label.ts;
-  }
-  auto pos = std::upper_bound(pending_.begin(), pending_.end(), payload,
-                              [](const RemotePayload& a, const RemotePayload& b) {
-                                return a.label < b.label;
-                              });
-  pending_.insert(pos, payload);
-  if (trace_ != nullptr) {
-    trace_->Hop(sim_->Now(), trace_track_, "payload.buffered", payload.label.uid,
-                payload.label.ts, origin);
-    if (trace_->WantJourney(payload.label.uid)) {
-      trace_->JourneyHop(sim_->Now(), payload.label.uid, obs::HopKind::kBuffered,
-                         trace_track_, static_cast<int32_t>(config_.id),
-                         payload.label.ts, payload.label.src);
-    }
-  }
   // Visibility is granted by the stabilization round; nothing to do now.
-}
-
-void GentleRainDc::OnOtherMessage(NodeId from, const Message& msg) {
-  (void)from;
-  if (const auto* hb = std::get_if<BulkHeartbeat>(&msg)) {
-    SAT_CHECK(hb->origin < num_dcs_ && hb->gear < config_.num_gears);
-    int64_t& gear_ts = GearTs(hb->origin, hb->gear);
-    if (hb->ts > gear_ts) {
-      gear_ts = hb->ts;
-    }
-  }
+  BufferRemote(payload);
 }
 
 }  // namespace saturn

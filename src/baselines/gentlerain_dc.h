@@ -13,14 +13,12 @@
 // to the *furthest* datacenter, regardless of the update's origin — the false
 // dependencies Saturn is designed to avoid.
 //
-// Hot-path state is allocation-free in steady state: gear timestamps live in
-// one flat [dc][gear] array, the staged aggregate is an inline DcVec, and the
-// pending set is a sorted vector drained by prefix (GST advances expose a
-// timestamp-prefix, so the eligible set is always the front of the vector).
+// The gear timestamps, the pending buffer, the visibility chain and the
+// two-stage stabilization round are DatacenterBase's; this class supplies
+// only the GST rule. The GST advances expose a timestamp-prefix of the
+// label-sorted buffer, so a drain is one ApplyPendingUpTo(GST).
 #ifndef SRC_BASELINES_GENTLERAIN_DC_H_
 #define SRC_BASELINES_GENTLERAIN_DC_H_
-
-#include <vector>
 
 #include "src/core/datacenter.h"
 
@@ -30,8 +28,7 @@ class GentleRainDc : public DatacenterBase {
  public:
   GentleRainDc(Simulator* sim, Network* net, const DatacenterConfig& config, uint32_t num_dcs,
                ReplicaResolver resolver, Metrics* metrics, CausalityOracle* oracle)
-      : DatacenterBase(sim, net, config, num_dcs, resolver, metrics, oracle),
-        gear_ts_(static_cast<size_t>(num_dcs) * config.num_gears, -1) {}
+      : DatacenterBase(sim, net, config, num_dcs, resolver, metrics, oracle) {}
 
   void Start() override;
 
@@ -40,7 +37,6 @@ class GentleRainDc : public DatacenterBase {
  protected:
   void HandleAttach(NodeId from, const ClientRequest& req) override;
   void OnRemotePayload(const RemotePayload& payload) override;
-  void OnOtherMessage(NodeId from, const Message& msg) override;
 
   SimTime ExtraUpdateCost(const ClientRequest&) const override {
     return CostModel::AsTime(config_.costs.scalar_meta_us);
@@ -53,36 +49,13 @@ class GentleRainDc : public DatacenterBase {
   }
 
  private:
-  struct Waiter {
-    NodeId from;
-    ClientRequest req;
-    int64_t need_ts;
-  };
-
-  int64_t& GearTs(DcId dc, uint32_t gear) {
-    return gear_ts_[static_cast<size_t>(dc) * config_.num_gears + gear];
-  }
-
   void StabilizationRound();
   void DrainVisible();
 
-  // Highest timestamp received from each remote (dc, gear), flattened to one
-  // cache-friendly array; own row unused.
-  std::vector<int64_t> gear_ts_;
-  // GentleRain stabilizes in two stacked rounds: partitions first aggregate
-  // their version vectors (staged_), and the datacenter-level GST uses the
-  // *previous* round's aggregate — mirroring the tree-based GST computation
-  // of the original system.
-  DcVec staged_;
+  // GST = min over remote datacenters of stable_ (see Stabilize), kept
+  // monotone; the one-round lag of the staged minima mirrors the tree-based
+  // GST computation of the original system.
   int64_t gst_ = -1;
-  // Pending remote updates, kept sorted by label; drained as a prefix when
-  // GST advances. A sorted vector (not a multiset) so steady-state traffic
-  // recycles the same slots instead of allocating a tree node per payload.
-  std::vector<RemotePayload> pending_;
-  std::vector<Waiter> attach_waiters_;
-  // Ordered-visibility chain (GentleRain exposes remote updates in timestamp
-  // order as GST advances).
-  SimTime last_visible_ = 0;
 };
 
 }  // namespace saturn

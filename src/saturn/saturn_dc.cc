@@ -14,7 +14,6 @@ SaturnDc::SaturnDc(Simulator* sim, Network* net, const DatacenterConfig& config,
       active_(DcSet::FirstN(num_dcs)),
       next_active_(DcSet::FirstN(num_dcs)),
       stability_origins_(DcSet::FirstN(num_dcs)),
-      bulk_gear_ts_(static_cast<size_t>(num_dcs) * config.num_gears, -1),
       sharded_gear_floor_(config.sharded_gears ? config.num_gears : 0, -1) {
   links_.ConfigureBatching(
       {config.batch_max_labels, config.batch_max_bytes, config.batch_deadline});
@@ -263,7 +262,7 @@ void SaturnDc::OnLocalUpdateCommitted(const ClientRequest& req, const Label& lab
 void SaturnDc::OnOtherMessage(NodeId from, const Message& msg) {
   (void)from;
   if (const auto* hb = std::get_if<BulkHeartbeat>(&msg)) {
-    NoteBulkProgress(hb->origin, hb->gear, hb->ts);
+    // DatacenterBase has already recorded the heartbeat's bulk progress.
     // Failover gossip: a peer that is failing over (or already switched)
     // advertises its target epoch here, which reaches us even when the same
     // fault silenced our copy of the epoch-change label.
@@ -447,6 +446,7 @@ void SaturnDc::PumpStream() {
           }
           RemotePayload payload = std::move(*it);
           pending_.erase(it);
+          applied_uids_.Insert(payload.label.uid);
           ApplyOrdered(payload);
         }
       } else {
@@ -497,41 +497,24 @@ void SaturnDc::ProcessStreamLabel(const LabelEnvelope& env) {
   }
 }
 
-void SaturnDc::ApplyOrdered(const RemotePayload& payload) {
-  applied_uids_.Insert(payload.label.uid);
-  SimTime floor = std::max(last_visible_, sim_->Now());
-  ApplyRemoteUpdate(payload, floor, [this](SimTime t) { last_visible_ = t; });
-}
-
 // --------------------------------------------------------------------------
 // Remote proxy: timestamp-stability drain (fallback / P-configuration)
 // --------------------------------------------------------------------------
-
-void SaturnDc::NoteBulkProgress(DcId origin, uint32_t gear, int64_t ts) {
-  SAT_CHECK(origin < num_dcs_ && gear < config_.num_gears);
-  int64_t& slot = bulk_gear_ts_[static_cast<size_t>(origin) * config_.num_gears + gear];
-  if (ts > slot) {
-    slot = ts;
-    ts_stable_dirty_ = true;
-  }
-}
 
 int64_t SaturnDc::TimestampStable() const {
   if (num_dcs_ <= 1) {
     return clock_.Now();
   }
-  if (ts_stable_dirty_) {
+  if (ts_stable_dirty_ || ts_stable_version_ != bulk_progress_version()) {
     int64_t stable = kSimTimeNever;
     for (DcId dc : stability_origins_) {
-      if (dc == config_.id) {
-        continue;
-      }
-      for (uint32_t g = 0; g < config_.num_gears; ++g) {
-        stable = std::min(stable, BulkGearTs(dc, g));
+      if (dc != config_.id) {
+        stable = std::min(stable, OriginFloor(dc));
       }
     }
     ts_stable_cache_ = stable;
     ts_stable_dirty_ = false;
+    ts_stable_version_ = bulk_progress_version();
   }
   return ts_stable_cache_;
 }
@@ -550,34 +533,6 @@ int64_t SaturnDc::MinRemoteStreamProgress() const {
   return min_remote_progress_cache_;
 }
 
-std::vector<RemotePayload>::iterator SaturnDc::FindPending(const Label& label) {
-  auto pos = std::lower_bound(pending_.begin(), pending_.end(), label,
-                              [](const RemotePayload& p, const Label& l) { return p.label < l; });
-  if (pos != pending_.end() && pos->label == label) {
-    return pos;
-  }
-  return pending_.end();
-}
-
-void SaturnDc::DrainPendingUpTo(int64_t bound) {
-  // The eligible set is a prefix of the sorted vector (labels order by ts
-  // first). ApplyOrdered never mutates pending_ (visibility is deferred
-  // through the event queue), so the prefix is applied in label order — the
-  // same order the ordered-set walk this replaces produced — and erased in
-  // one shift.
-  size_t eligible = 0;
-  while (eligible < pending_.size() && pending_[eligible].label.ts <= bound) {
-    RemotePayload& payload = pending_[eligible];
-    if (!applied_uids_.Contains(payload.label.uid)) {
-      ApplyOrdered(payload);
-    }
-    ++eligible;
-  }
-  if (eligible > 0) {
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(eligible));
-  }
-}
-
 void SaturnDc::TimestampDrain() {
   // Timestamp-order application runs ONLY while the metadata service is out
   // (or absent: the peer-to-peer configuration). Running it alongside a
@@ -587,7 +542,7 @@ void SaturnDc::TimestampDrain() {
   // causal-delivery guarantee. The paper uses timestamp order strictly as the
   // outage fallback (section 6.1).
   if (ts_mode_) {
-    DrainPendingUpTo(TimestampStable());
+    ApplyPendingUpTo(TimestampStable(), MarkApplied());
     if (failover_pending_) {
       MaybeResumeAfterFailover();
     } else {
@@ -613,7 +568,7 @@ void SaturnDc::OrphanRepair() {
   if (ts_mode_ || !has_tree_ || num_dcs_ <= 1 || pending_.empty()) {
     return;
   }
-  DrainPendingUpTo(std::min(TimestampStable(), MinRemoteStreamProgress()));
+  ApplyPendingUpTo(std::min(TimestampStable(), MinRemoteStreamProgress()), MarkApplied());
 }
 
 void SaturnDc::TryResyncExit() {
@@ -644,32 +599,15 @@ void SaturnDc::TryResyncExit() {
 }
 
 void SaturnDc::OnRemotePayload(const RemotePayload& payload) {
-  // The label piggybacked on the payload doubles as a progress marker for
-  // timestamp-order stability (section 6.1).
-  NoteBulkProgress(payload.label.origin_dc(), SourceGear(payload.label.src),
-                   payload.label.ts);
   if (applied_uids_.Contains(payload.label.uid)) {
     return;
   }
-  auto pos = std::lower_bound(pending_.begin(), pending_.end(), payload.label,
-                              [](const RemotePayload& p, const Label& l) { return p.label < l; });
-  if (pos != pending_.end() && pos->label == payload.label) {
-    *pos = payload;  // duplicate delivery: keep the latest copy, as before
-  } else {
-    pending_.insert(pos, payload);
-  }
-  if (trace_ != nullptr) {
-    trace_->Hop(sim_->Now(), trace_track_, "payload.buffered", payload.label.uid,
-                payload.label.ts, payload.label.origin_dc());
-    if (trace_->WantJourney(payload.label.uid)) {
-      trace_->JourneyHop(sim_->Now(), payload.label.uid, obs::HopKind::kBuffered,
-                         trace_track_, static_cast<int32_t>(config_.id));
-    }
-  }
-  // Drain by timestamp stability *before* pumping the stream: the arriving
-  // payload may have advanced stability (NoteBulkProgress above), and attach
-  // waiters -- re-checked by both drains -- must only complete after every
-  // newly stable update has been scheduled for visibility.
+  BufferRemote(payload);
+  // Drain by timestamp stability *before* pumping the stream: the label
+  // piggybacked on the payload is a progress marker for timestamp-order
+  // stability (section 6.1, recorded by DatacenterBase), and attach waiters
+  // -- re-checked by both drains -- must only complete after every newly
+  // stable update has been scheduled for visibility.
   TimestampDrain();
   PumpStream();
 }
@@ -723,40 +661,16 @@ bool SaturnDc::WaiterReady(const ClientRequest& req) const {
   return l.ts <= stream_bound || l.ts <= ts_stable;
 }
 
-void SaturnDc::CompleteWaiter(NodeId from, const ClientRequest& req) {
-  // The attach completes once everything the client may have observed is
-  // visible, i.e. after the visibility chain catches up.
-  SimTime when = std::max(last_visible_, sim_->Now()) +
-                 CostModel::AsTime(config_.costs.attach_base_us);
-  sim_->At(when, [this, from, req]() { FinishAttach(from, req); });
-}
-
 void SaturnDc::CheckAttachWaiters() {
-  if (waiters_.empty()) {
-    return;
-  }
-  // Stable in-place compaction: completion order matches arrival order and no
-  // per-check allocation (this runs after every pump/drain).
-  size_t keep = 0;
-  for (size_t i = 0; i < waiters_.size(); ++i) {
-    if (WaiterReady(waiters_[i].req)) {
-      CompleteWaiter(waiters_[i].from, waiters_[i].req);
-    } else {
-      if (keep != i) {
-        waiters_[keep] = std::move(waiters_[i]);
-      }
-      ++keep;
-    }
-  }
-  waiters_.resize(keep);
+  ReleaseAttachWaiters([this](const AttachWaiter& w) { return WaiterReady(w.req); });
 }
 
 void SaturnDc::HandleAttach(NodeId from, const ClientRequest& req) {
   if (WaiterReady(req)) {
-    CompleteWaiter(from, req);
+    CompleteAttach(from, req);
     return;
   }
-  waiters_.push_back(AttachWaiter{from, req});
+  attach_waiters_.push_back(AttachWaiter{from, req});
 }
 
 void SaturnDc::HandleMigrate(NodeId from, const ClientRequest& req) {

@@ -167,11 +167,6 @@ class SaturnDc : public DatacenterBase {
 
   static LabelKey KeyOf(const Label& label) { return {label.src, label.ts}; }
 
-  struct AttachWaiter {
-    NodeId from;
-    ClientRequest req;
-  };
-
   // --- Intra-DC sharding (gear lanes) -------------------------------------
   // A lane committed a local update: install, replicate and respond — the
   // control-node half of DatacenterBase::HandleUpdate's completion closure.
@@ -194,20 +189,14 @@ class SaturnDc : public DatacenterBase {
   void TimestampDrain();
   int64_t TimestampStable() const;
   int64_t MinRemoteStreamProgress() const;
-  void DrainPendingUpTo(int64_t bound);
+  // ApplyPendingUpTo callback recording each timestamp-drained uid, so the
+  // stream skips the label when it arrives.
+  auto MarkApplied() {
+    return [this](const RemotePayload& p) { applied_uids_.Insert(p.label.uid); };
+  }
   void OrphanRepair();
-  void ApplyOrdered(const RemotePayload& payload);
   void CheckAttachWaiters();
   bool WaiterReady(const ClientRequest& req) const;
-  void CompleteWaiter(NodeId from, const ClientRequest& req);
-  void NoteBulkProgress(DcId origin, uint32_t gear, int64_t ts);
-
-  int64_t BulkGearTs(DcId dc, uint32_t gear) const {
-    return bulk_gear_ts_[static_cast<size_t>(dc) * config_.num_gears + gear];
-  }
-
-  // Position of the payload carrying exactly `label`, or pending_.end().
-  std::vector<RemotePayload>::iterator FindPending(const Label& label);
 
   // --- Failure detection and recovery -------------------------------------
   void ArmWatchdog();
@@ -238,30 +227,26 @@ class SaturnDc : public DatacenterBase {
   RingQueue<LabelEnvelope> stream_;
   RingQueue<LabelEnvelope> buffered_next_epoch_;
   std::vector<int64_t> stream_progress_;  // per origin DC: max processed label ts
-  SimTime last_visible_ = 0;              // shared monotone visibility floor
   SimTime last_stream_activity_ = 0;
   std::vector<SimTime> last_label_seen_;  // per origin DC: last stream label time
 
-  // Payload buffer shared by both drains, kept sorted by label. The label
-  // total order (ts, src) uniquely identifies a payload, so one sorted vector
-  // serves both the ordered drain (pop the smallest-label prefix) and the
-  // stream's exact-label lookup (binary search) — and steady-state traffic
-  // recycles the same slots instead of paying a map node and a set node per
-  // remote payload.
-  std::vector<RemotePayload> pending_;
+  // Both drains share DatacenterBase's pending buffer and visibility chain:
+  // the stream pops exact labels (FindPending), the timestamp drain pops the
+  // smallest-label prefix (ApplyPendingUpTo). Every uid applied either way is
+  // recorded here, so a late stream label or a duplicate payload is skipped.
   FlatSet<uint64_t> applied_uids_;
 
   // Timestamp-stability state.
   bool ts_mode_ = false;
-  // Last bulk-channel ts per (dc, gear), flattened to one cache-friendly
-  // array indexed [dc * num_gears + gear].
-  std::vector<int64_t> bulk_gear_ts_;
-  // Lazily recomputed minima for the hot stability predicates. Each has a
-  // single writer (NoteBulkProgress / PumpStream) that sets the dirty flag;
-  // TimestampStable and WaiterReady run once per stream/bulk event and would
-  // otherwise rescan O(dcs * gears) state every time.
+  // Lazily recomputed minima for the hot stability predicates: the bulk
+  // floors (DatacenterBase::GearFloor, invalidated through
+  // bulk_progress_version) and the stream progress (PumpStream). Membership
+  // changes set the dirty flags. TimestampStable and WaiterReady run once per
+  // stream/bulk event and would otherwise rescan O(dcs * gears) state every
+  // time.
   mutable int64_t ts_stable_cache_ = -1;
   mutable bool ts_stable_dirty_ = true;
+  mutable uint64_t ts_stable_version_ = 0;
   mutable int64_t min_remote_progress_cache_ = -1;
   mutable bool min_remote_progress_dirty_ = true;
   SimTime fallback_timeout_ = Millis(300);
@@ -313,8 +298,7 @@ class SaturnDc : public DatacenterBase {
   // heard from). Empty when sharding is off.
   std::vector<int64_t> sharded_gear_floor_;
 
-  // Attach/migration bookkeeping.
-  std::vector<AttachWaiter> waiters_;
+  // Migration labels delivered to this datacenter by the stream.
   std::set<LabelKey> completed_migrations_;
 };
 
