@@ -12,11 +12,13 @@
 //   saturn_sim --protocol=saturn --backup --oracle --fault-plan="1500:cut:3-5:drop;2100:heal:3-5"
 //   saturn_sim --protocol=saturn --seeds=10 --jobs=4 --csv=/tmp/vis.csv
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,47 @@
 
 namespace saturn {
 namespace {
+
+// Strict numeric parsing: the whole string must be one number, so a typo
+// such as `--dcs=abc` or `--seconds=3s` is an error rather than a silent 0.
+bool ParseLong(const std::string& text, long* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// Every flag Usage() documents. Anything else is rejected, so a mistyped
+// flag cannot silently run with defaults.
+const std::set<std::string> kKnownFlags = {
+    "arrival-plan", "arrival-rate", "attribution", "backend", "backup",
+    "batch-deadline", "batch-max-bytes", "batch-max-labels", "chain", "clients",
+    "csv", "dcs", "degree", "drift-plan", "dynamic", "edges", "expected-keys",
+    "fault-plan", "gears", "help", "hub", "jobs", "join", "keys", "leave",
+    "leave-drain", "max-queue", "metrics-out", "open-loop", "oracle", "pattern",
+    "probe-interval", "protocol", "prune", "reconfig-cooldown", "reconfig-degrade",
+    "reconfig-eval", "reconfig-hysteresis", "remote-reads", "rtt-multiplier",
+    "seconds", "seed", "seeds", "sharded-gears", "static-detector", "stop-clients",
+    "timeseries-out", "timeseries-window", "trace-label", "trace-out", "trace-ring",
+    "tree", "value", "warmup", "workers", "writes", "zipf", "zipf-sessions",
+};
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -37,11 +80,12 @@ struct Flags {
         return false;
       }
       const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values[arg + 2] = "1";  // boolean flag
-      } else {
-        values[std::string(arg + 2, eq - arg - 2)] = eq + 1;
+      std::string name = eq == nullptr ? std::string(arg + 2) : std::string(arg + 2, eq - arg - 2);
+      if (kKnownFlags.count(name) == 0) {
+        std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
+        return false;
       }
+      values[name] = eq == nullptr ? "1" : eq + 1;  // bare flag = boolean "1"
     }
     return true;
   }
@@ -50,15 +94,30 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
+  // Numeric getters exit 2 on a value strtod/strtol does not fully consume.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
+    double value = fallback;
+    if (it != values.end() && !ParseDouble(it->second, &value)) {
+      BadNumber(key, it->second);
+    }
+    return value;
   }
   long GetInt(const std::string& key, long fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
+    long value = fallback;
+    if (it != values.end() && !ParseLong(it->second, &value)) {
+      BadNumber(key, it->second);
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values.count(key) != 0; }
+
+ private:
+  [[noreturn]] static void BadNumber(const std::string& key, const std::string& value) {
+    std::fprintf(stderr, "bad numeric value for --%s: '%s'\n", key.c_str(), value.c_str());
+    std::exit(2);
+  }
 };
 
 void Usage() {
@@ -323,15 +382,18 @@ bool BuildSetup(const Flags& flags, SimSetup* setup, int* exit_code) {
     }
     std::string spec = flags.Get(kind, "");
     size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
+    long at_ms = 0;
+    long dc = 0;
+    if (colon == std::string::npos || !ParseLong(spec.substr(0, colon), &at_ms) ||
+        !ParseLong(spec.substr(colon + 1), &dc)) {
       std::fprintf(stderr, "--%s needs MS:DC\n", kind);
       *exit_code = 2;
       return false;
     }
     DriftEvent ev;
-    ev.at = Millis(std::atol(spec.c_str()));
+    ev.at = Millis(at_ms);
     ev.kind = std::strcmp(kind, "join") == 0 ? DriftKind::kJoin : DriftKind::kLeave;
-    ev.dc = static_cast<DcId>(std::atol(spec.c_str() + colon + 1));
+    ev.dc = static_cast<DcId>(dc);
     setup->drift.events.push_back(ev);
   }
   setup->drift.Normalize();
@@ -911,9 +973,13 @@ int RunSeedSweep(const Flags& flags, const SimSetup& setup, uint64_t num_seeds) 
 
 int main(int argc, char** argv) {
   saturn::Flags flags;
-  if (!flags.Parse(argc, argv) || flags.Has("help")) {
+  if (!flags.Parse(argc, argv)) {
+    std::fprintf(stderr, "run saturn_sim --help for the flag list\n");
+    return 2;
+  }
+  if (flags.Has("help")) {
     saturn::Usage();
-    return flags.Has("help") ? 0 : 2;
+    return 0;
   }
   saturn::SimSetup setup;
   int exit_code = 0;
