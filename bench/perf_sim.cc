@@ -3,7 +3,7 @@
 // Unlike the fig*/table* benches (which reproduce the paper's *numbers*),
 // perf_sim measures how fast the simulator itself executes: every figure and
 // every chaos sweep is bottlenecked by events/second through the core, so
-// this harness is the repo's recorded perf trajectory. It runs four pinned
+// this harness is the repo's recorded perf trajectory. It runs seven pinned
 // workloads and writes BENCH_sim.json:
 //
 //   fig5_full  — Saturn on the 7-DC EC2 deployment, full replication, the
@@ -52,12 +52,30 @@
 // fingerprints, allocs_per_event is a gated quantity in bench_diff.py: an
 // allocation regression on the message plane fails the perf gate.
 //
-// A fourth section, suite_wall_clock, measures the parallel sweep harness
-// itself: a combined figure+chaos suite of independent runs executes once
-// serially (jobs=1) and once on the worker pool (--jobs / SATURN_JOBS /
-// hardware concurrency), recording both wall-clocks, the speedup, and whether
-// the per-run executed-event fingerprints were identical across the two legs
-// (they must be: the sweep is share-nothing and ordered).
+// Four more sections follow the workloads in the JSON:
+//
+//   trace_overhead / attribution_overhead — fig5_full run with the trace
+//       recorder (resp. the attribution profiler) off and on: fingerprints
+//       must match, and the events/sec ratio is the observer's cost.
+//   realtime_scaling — a sharded 3-DC deployment on the wall-clock backend at
+//       1, 2 and 4 workers; the 4-worker leg must reach 1.8x the 1-worker
+//       ops/sec on hosts with at least 4 hardware threads. Each leg also
+//       records where the workers' time went (lane-group batches, events per
+//       batch, drift-window stops, lockouts, the busiest group's share).
+//   suite_wall_clock — the parallel sweep harness itself: a combined
+//       figure+chaos suite of independent runs executes once serially
+//       (jobs=1) and once on the worker pool (--jobs / SATURN_JOBS / hardware
+//       concurrency), recording both wall-clocks, the speedup, and whether
+//       the per-run executed-event fingerprints were identical across the two
+//       legs (they must be: the sweep is share-nothing and ordered).
+//
+// Gates checked here: repeat and observer fingerprint equality, the batch
+// workload's wire-byte and visibility ratios, the reconfig and mmusers
+// sanity checks, and the realtime speedup. A failed gate does not stop the
+// run: every leg runs and the JSON is written first — it carries the
+// deterministic counters tools/bench_diff.py gates — and then perf_sim exits
+// 1, listing every gate that failed. Any JSON already at --out is deleted
+// before the first leg, so a run that dies early leaves none behind.
 //
 // Usage: perf_sim [--smoke] [--repeat N] [--jobs N] [--out PATH]
 //   --smoke   tiny measurement windows; CI sanity check, numbers meaningless
@@ -67,8 +85,10 @@
 //   --out     output JSON path (default BENCH_sim.json in the CWD)
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +200,26 @@ struct WorkloadResult {
   double p99_visibility_ms = 0;
 };
 
+// Gate failures seen so far. A failing gate does not stop the run: every leg
+// still runs and the JSON is still written (the deterministic fingerprints,
+// allocation rates, wire bytes and RSS in it are what bench_diff.py gates),
+// and Main exits 1 at the end, naming every gate that failed.
+std::vector<std::string> g_gate_failures;
+
+__attribute__((format(printf, 1, 2))) void GateFailed(const char* fmt, ...) {
+  char text[1024];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(text, sizeof(text), fmt, args);
+  va_end(args);
+  std::string message(text);
+  while (!message.empty() && message.back() == '\n') {
+    message.pop_back();
+  }
+  std::fprintf(stderr, "FATAL: %s\n", message.c_str());
+  g_gate_failures.push_back(std::move(message));
+}
+
 long PeakRssKb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -251,10 +291,9 @@ WorkloadResult TimeWorkload(const std::string& name, int repeat, BuildFn build) 
       best.alloc_bytes = bytes;
     }
     if (best.executed_events != events) {
-      std::fprintf(stderr, "FATAL: %s is nondeterministic across repeats (%llu vs %llu)\n",
-                   name.c_str(), static_cast<unsigned long long>(best.executed_events),
-                   static_cast<unsigned long long>(events));
-      std::exit(1);
+      GateFailed("%s is nondeterministic across repeats (%llu vs %llu)\n",
+                 name.c_str(), static_cast<unsigned long long>(best.executed_events),
+                 static_cast<unsigned long long>(events));
     }
   }
   best.allocs_per_event =
@@ -441,10 +480,8 @@ PreparedRun BuildReconfig(const PerfOptions& options) {
   run.drain = options.smoke ? Millis(500) : Millis(1500);
   run.verify = [](Cluster& cluster) {
     if (cluster.reconfig_controller()->reconfigs() < 1) {
-      std::fprintf(stderr,
-                   "FATAL: reconfig workload finished without a reconfiguration — the "
-                   "timed window no longer covers a live epoch switch\n");
-      std::exit(1);
+      GateFailed("reconfig workload finished without a reconfiguration — the "
+                 "timed window no longer covers a live epoch switch\n");
     }
   };
   return run;
@@ -537,19 +574,15 @@ PreparedRun BuildMmUsers(const PerfOptions& options) {
       backlog += mux->backlog();
     }
     if (arrivals == 0 || completed < arrivals / 2) {
-      std::fprintf(stderr,
-                   "FATAL: mmusers open-loop plane delivered no load (%llu arrivals, "
-                   "%llu completed) — the timed window no longer measures the engine\n",
-                   static_cast<unsigned long long>(arrivals),
-                   static_cast<unsigned long long>(completed));
-      std::exit(1);
+      GateFailed("mmusers open-loop plane delivered no load (%llu arrivals, "
+                 "%llu completed) — the timed window no longer measures the engine\n",
+                 static_cast<unsigned long long>(arrivals),
+                 static_cast<unsigned long long>(completed));
     }
     if (backlog != 0) {
-      std::fprintf(stderr,
-                   "FATAL: mmusers finished with %llu queued ops after the drain — "
-                   "sessions wedged mid-flight\n",
-                   static_cast<unsigned long long>(backlog));
-      std::exit(1);
+      GateFailed("mmusers finished with %llu queued ops after the drain — "
+                 "sessions wedged mid-flight\n",
+                 static_cast<unsigned long long>(backlog));
     }
   };
   return run;
@@ -687,11 +720,9 @@ SuiteResult RunSuite(const PerfOptions& options) {
 
   suite.fingerprints_identical = serial_fp == parallel_fp;
   if (!suite.fingerprints_identical) {
-    std::fprintf(stderr,
-                 "FATAL: suite fingerprints differ between jobs=1 and jobs=%d —\n"
-                 "a run's behaviour depended on its neighbours (shared state?)\n",
-                 suite.jobs);
-    std::exit(1);
+    GateFailed("suite fingerprints differ between jobs=1 and jobs=%d —\n"
+               "a run's behaviour depended on its neighbours (shared state?)\n",
+               suite.jobs);
   }
   for (uint64_t events : serial_fp) {
     suite.total_events += events;
@@ -740,8 +771,7 @@ TraceOverheadResult RunTraceOverhead(const PerfOptions& options) {
       if (i == 0) {
         events = fp;
       } else if (events != fp) {
-        std::fprintf(stderr, "FATAL: trace_overhead leg nondeterministic across repeats\n");
-        std::exit(1);
+        GateFailed("trace_overhead leg nondeterministic across repeats\n");
       }
       if (traced && trace_events != nullptr) {
         *trace_events = run.cluster->trace()->events_recorded();
@@ -755,12 +785,10 @@ TraceOverheadResult RunTraceOverhead(const PerfOptions& options) {
   result.executed_events = off_events;
   result.fingerprints_identical = off_events == on_events;
   if (!result.fingerprints_identical) {
-    std::fprintf(stderr,
-                 "FATAL: tracing changed the executed-event fingerprint "
-                 "(%llu untraced vs %llu traced) — the recorder must only observe\n",
-                 static_cast<unsigned long long>(off_events),
-                 static_cast<unsigned long long>(on_events));
-    std::exit(1);
+    GateFailed("tracing changed the executed-event fingerprint "
+               "(%llu untraced vs %llu traced) — the recorder must only observe\n",
+               static_cast<unsigned long long>(off_events),
+               static_cast<unsigned long long>(on_events));
   }
   result.events_off_per_sec = static_cast<double>(off_events) / result.off_wall_s;
   result.events_on_per_sec = static_cast<double>(on_events) / result.on_wall_s;
@@ -808,9 +836,7 @@ AttributionOverheadResult RunAttributionOverhead(const PerfOptions& options) {
       if (i == 0) {
         events = fp;
       } else if (events != fp) {
-        std::fprintf(stderr,
-                     "FATAL: attribution_overhead leg nondeterministic across repeats\n");
-        std::exit(1);
+        GateFailed("attribution_overhead leg nondeterministic across repeats\n");
       }
       if (attribution && samples != nullptr) {
         *samples = run.cluster->attribution()->samples();
@@ -824,18 +850,14 @@ AttributionOverheadResult RunAttributionOverhead(const PerfOptions& options) {
   result.executed_events = off_events;
   result.fingerprints_identical = off_events == on_events;
   if (!result.fingerprints_identical) {
-    std::fprintf(stderr,
-                 "FATAL: attribution changed the executed-event fingerprint "
-                 "(%llu off vs %llu on) — the profiler must only observe\n",
-                 static_cast<unsigned long long>(off_events),
-                 static_cast<unsigned long long>(on_events));
-    std::exit(1);
+    GateFailed("attribution changed the executed-event fingerprint "
+               "(%llu off vs %llu on) — the profiler must only observe\n",
+               static_cast<unsigned long long>(off_events),
+               static_cast<unsigned long long>(on_events));
   }
   if (result.attribution_samples == 0) {
-    std::fprintf(stderr,
-                 "FATAL: attribution_overhead measured zero decomposed journeys — "
-                 "the on leg no longer exercises the profiler\n");
-    std::exit(1);
+    GateFailed("attribution_overhead measured zero decomposed journeys — "
+               "the on leg no longer exercises the profiler\n");
   }
   result.events_off_per_sec = static_cast<double>(off_events) / result.off_wall_s;
   result.events_on_per_sec = static_cast<double>(on_events) / result.on_wall_s;
@@ -863,6 +885,13 @@ struct RealtimeLeg {
   double ops_per_sec = 0;
   uint64_t executed_events = 0;
   std::vector<double> utilization;
+  // Where the workers' time went: lane-group batches summed over groups,
+  // lockouts, and the busiest group's share of all busy time (an Amdahl
+  // bound shows up as a share near 1/speedup).
+  size_t groups = 0;
+  RealtimeScheduler::GroupStats batches;
+  uint64_t lockouts = 0;
+  double busiest_group_share = 0;
 };
 
 struct RealtimeScalingResult {
@@ -918,6 +947,18 @@ RealtimeLeg RunRealtimeLeg(const PerfOptions& options, unsigned workers) {
       best.ops_per_sec = ops_per_sec;
       best.executed_events = cluster.executed_events();
       best.utilization = cluster.scheduler()->worker_utilization();
+      const RealtimeScheduler& scheduler = *cluster.scheduler();
+      best.groups = scheduler.num_groups();
+      best.batches = scheduler.total_group_stats();
+      best.lockouts = scheduler.lockouts();
+      uint64_t busiest = 0;
+      for (const auto& group : scheduler.group_stats()) {
+        busiest = std::max(busiest, group.busy_ns);
+      }
+      best.busiest_group_share =
+          best.batches.busy_ns > 0
+              ? static_cast<double>(busiest) / static_cast<double>(best.batches.busy_ns)
+              : 0;
     }
   }
   return best;
@@ -937,6 +978,15 @@ RealtimeScalingResult RunRealtimeScaling(const PerfOptions& options) {
       std::printf(" %.2f", u);
     }
     std::printf("\n");
+    std::printf("realtime:   %zu lane groups: %llu batches, %llu productive (%.1f events "
+                "each), %llu horizon stops, %llu lockouts, busiest group %.0f%% of busy "
+                "time\n",
+                leg.groups, static_cast<unsigned long long>(leg.batches.batches),
+                static_cast<unsigned long long>(leg.batches.productive),
+                leg.batches.events_per_productive(),
+                static_cast<unsigned long long>(leg.batches.horizon_stops),
+                static_cast<unsigned long long>(leg.lockouts),
+                leg.busiest_group_share * 100.0);
   }
   result.speedup_4x =
       result.legs.front().ops_per_sec > 0
@@ -954,11 +1004,9 @@ RealtimeScalingResult RunRealtimeScaling(const PerfOptions& options) {
   std::printf("realtime: speedup(4 workers) %.2fx (gate: >= 1.8x on %u threads)\n",
               result.speedup_4x, result.hardware_concurrency);
   if (result.speedup_4x < 1.8) {
-    std::fprintf(stderr,
-                 "FATAL: realtime backend scaled only %.2fx at 4 workers (need >= "
-                 "1.8x on %u hardware threads) — lanes are serializing somewhere\n",
-                 result.speedup_4x, result.hardware_concurrency);
-    std::exit(1);
+    GateFailed("realtime backend scaled only %.2fx at 4 workers (need >= "
+               "1.8x on %u hardware threads) — lanes are serializing somewhere\n",
+               result.speedup_4x, result.hardware_concurrency);
   }
   return result;
 }
@@ -1043,7 +1091,19 @@ void WriteJson(const PerfOptions& options, const std::vector<WorkloadResult>& re
     for (size_t u = 0; u < leg.utilization.size(); ++u) {
       std::fprintf(f, "%s%.3f", u > 0 ? ", " : "", leg.utilization[u]);
     }
-    std::fprintf(f, "]\n");
+    std::fprintf(f, "],\n");
+    std::fprintf(f, "        \"lane_groups\": %zu,\n", leg.groups);
+    std::fprintf(f, "        \"batches\": %llu,\n",
+                 static_cast<unsigned long long>(leg.batches.batches));
+    std::fprintf(f, "        \"productive_batches\": %llu,\n",
+                 static_cast<unsigned long long>(leg.batches.productive));
+    std::fprintf(f, "        \"events_per_productive_batch\": %.2f,\n",
+                 leg.batches.events_per_productive());
+    std::fprintf(f, "        \"horizon_stops\": %llu,\n",
+                 static_cast<unsigned long long>(leg.batches.horizon_stops));
+    std::fprintf(f, "        \"lockouts\": %llu,\n",
+                 static_cast<unsigned long long>(leg.lockouts));
+    std::fprintf(f, "        \"busiest_group_share\": %.3f\n", leg.busiest_group_share);
     std::fprintf(f, "      }%s\n", i + 1 < realtime.legs.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n");
@@ -1085,6 +1145,9 @@ int Main(int argc, char** argv) {
   if (options.repeat < 1) {
     options.repeat = 1;
   }
+  // A JSON left by an earlier run must not stand in for this one if this run
+  // dies before writing its own.
+  std::remove(options.out.c_str());
 
   auto single = [](PreparedRun run) {
     std::vector<PreparedRun> runs;
@@ -1147,18 +1210,14 @@ int Main(int argc, char** argv) {
                 fig5->p99_visibility_ms, batch->p99_visibility_ms, p99_ratio,
                 batch->events_per_sec / fig5->events_per_sec);
     if (wire_ratio < 1.3) {
-      std::fprintf(stderr,
-                   "FATAL: batching shed only %.2fx metadata wire bytes (need >= 1.3x) — "
-                   "the batch plane stopped coalescing or the codec stopped compressing\n",
-                   wire_ratio);
-      std::exit(1);
+      GateFailed("batching shed only %.2fx metadata wire bytes (need >= 1.3x) — "
+                 "the batch plane stopped coalescing or the codec stopped compressing\n",
+                 wire_ratio);
     }
     if (p99_ratio > 1.1) {
-      std::fprintf(stderr,
-                   "FATAL: batching grew p99 visibility %.2fx (budget 1.1x) — the flush "
-                   "policy is holding labels too long\n",
-                   p99_ratio);
-      std::exit(1);
+      GateFailed("batching grew p99 visibility %.2fx (budget 1.1x) — the flush "
+                 "policy is holding labels too long\n",
+                 p99_ratio);
     }
   }
 
@@ -1188,6 +1247,13 @@ int Main(int argc, char** argv) {
 
   WriteJson(options, results, suite, trace, attribution, realtime);
   std::printf("wrote %s\n", options.out.c_str());
+  if (!g_gate_failures.empty()) {
+    std::fprintf(stderr, "perf_sim: %zu gate(s) failed:\n", g_gate_failures.size());
+    for (const std::string& failure : g_gate_failures) {
+      std::fprintf(stderr, "  - %s\n", failure.c_str());
+    }
+    return 1;
+  }
   return 0;
 }
 

@@ -35,6 +35,9 @@ target_link_libraries(perf_sim saturn)
 set_target_properties(perf_sim PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 add_test(NAME perf_sim_smoke
          COMMAND perf_sim --smoke --out ${CMAKE_BINARY_DIR}/BENCH_smoke.json)
+# The realtime leg times 1, 2 and 4 worker threads against each other; under
+# `ctest -j` neighbouring tests would take the very cores it measures.
+set_tests_properties(perf_sim_smoke PROPERTIES RUN_SERIAL TRUE)
 
 # Allocation-regression gate: the smoke run's allocs/event must stay within
 # 10% of the committed smoke baseline (bench/BENCH_smoke_baseline.json).

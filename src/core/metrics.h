@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/spin_lock.h"
 #include "src/common/types.h"
 #include "src/core/messages.h"
 #include "src/stats/histogram.h"
@@ -34,40 +35,71 @@ class Metrics {
     window_end_ = end;
   }
 
-  // Realtime backend: recorders run on concurrent lanes. Off (the default),
-  // every Record* stays lock-free.
-  void EnableLocking() { mu_ = std::make_unique<std::mutex>(); }
+  // Realtime backend: recorders run on concurrent lanes. Each datacenter
+  // then records into a shard of its own, under its own lock: a datacenter's
+  // lanes run on one worker, so the lock is uncontended and no histogram line
+  // moves between cores. MergeShards() folds the shards in once the run is
+  // over; until then the aggregate accessors below see only what was
+  // recorded before EnableLocking(). Off (the default), every Record* stays
+  // lock-free and records directly.
+  void EnableLocking() {
+    mu_ = std::make_unique<SpinLock>();
+    shards_ = std::make_unique<Shard[]>(num_dcs_);
+  }
+
+  // Folds the per-datacenter shards into the aggregates; later records go
+  // straight to the aggregates, under the one lock. Call with no recorder
+  // running.
+  void MergeShards() {
+    if (shards_ == nullptr) {
+      return;
+    }
+    for (uint32_t dc = 0; dc < num_dcs_; ++dc) {
+      Shard& shard = shards_[dc];
+      all_visibility_.Merge(shard.all_visibility);
+      reconfig_visibility_.Merge(shard.reconfig_visibility);
+      op_latency_.Merge(shard.op_latency);
+      attach_latency_.Merge(shard.attach_latency);
+      completed_ops_ += shard.completed_ops;
+    }
+    shards_.reset();
+  }
 
   void RecordVisibility(DcId origin, DcId at, SimTime created, SimTime visible) {
     SAT_CHECK(origin < num_dcs_ && at < num_dcs_);
-    auto lock = Guard();
     if (created < window_start_ || created > window_end_) {
       return;
     }
+    // The (origin, at) histogram is only ever written by `at`'s recorders,
+    // so the shard lock covers it too.
+    Shard* shard = ShardOf(at);
+    auto lock = Guard(shard);
     visibility_[origin * num_dcs_ + at].Record(visible - created);
-    all_visibility_.Record(visible - created);
+    (shard != nullptr ? shard->all_visibility : all_visibility_).Record(visible - created);
     if (reconfig_active_) {
       // Tee: visibility of updates that became visible while a live tree
       // reconfiguration (epoch switch / join / leave) was in flight — the
       // "visibility during switch" figure of the dynamic-topology experiments.
-      reconfig_visibility_.Record(visible - created);
+      (shard != nullptr ? shard->reconfig_visibility : reconfig_visibility_)
+          .Record(visible - created);
     }
   }
 
   // A client operation completed (read or update); `issued` is when the client
-  // sent the request, `done` when the response arrived.
+  // sent the request, `done` when the response arrived. `dc` is the client's
+  // home datacenter.
   void RecordClientOp(ClientOpType op, DcId dc, SimTime issued, SimTime done) {
-    (void)dc;
-    auto lock = Guard();
     if (done < window_start_ || done > window_end_) {
       return;
     }
+    Shard* shard = ShardOf(dc);
+    auto lock = Guard(shard);
     if (op == ClientOpType::kRead || op == ClientOpType::kUpdate) {
-      ++completed_ops_;
-      op_latency_.Record(done - issued);
+      ++(shard != nullptr ? shard->completed_ops : completed_ops_);
+      (shard != nullptr ? shard->op_latency : op_latency_).Record(done - issued);
     }
     if (op == ClientOpType::kAttach || op == ClientOpType::kMigrate) {
-      attach_latency_.Record(done - issued);
+      (shard != nullptr ? shard->attach_latency : attach_latency_).Record(done - issued);
     }
   }
 
@@ -107,7 +139,7 @@ class Metrics {
 
   void RecordFallbackEnter(DcId dc, SimTime now) {
     SAT_CHECK(dc < num_dcs_);
-    auto lock = Guard();
+    auto lock = Guard(nullptr);
     DcFaultStats& s = fault_stats_[dc];
     if (s.in_fallback) {
       return;
@@ -119,7 +151,7 @@ class Metrics {
 
   void RecordFallbackExit(DcId dc, SimTime now) {
     SAT_CHECK(dc < num_dcs_);
-    auto lock = Guard();
+    auto lock = Guard(nullptr);
     DcFaultStats& s = fault_stats_[dc];
     if (!s.in_fallback) {
       return;
@@ -132,7 +164,7 @@ class Metrics {
   // End-to-end outage-to-recovery latency: fallback entry until stream mode
   // resumed (resync on the same tree, or failover to a backup tree).
   void RecordFailoverLatency(SimTime latency) {
-    auto lock = Guard();
+    auto lock = Guard(nullptr);
     failover_latency_.Record(latency);
   }
 
@@ -160,7 +192,7 @@ class Metrics {
   // Wall-clock of one completed reconfiguration: controller decision to every
   // participant back in stream mode on the target configuration.
   void RecordReconfigLatency(SimTime latency) {
-    auto lock = Guard();
+    auto lock = Guard(nullptr);
     reconfig_latency_.Record(latency);
   }
 
@@ -168,11 +200,33 @@ class Metrics {
   const LatencyHistogram& ReconfigVisibility() const { return reconfig_visibility_; }
 
  private:
-  std::unique_lock<std::mutex> Guard() {
+  // What one datacenter's recorders write between EnableLocking() and
+  // MergeShards(), on cache lines of its own.
+  struct alignas(64) Shard {
+    SpinLock mu;
+    LatencyHistogram all_visibility;
+    LatencyHistogram reconfig_visibility;
+    LatencyHistogram op_latency;
+    LatencyHistogram attach_latency;
+    uint64_t completed_ops = 0;
+  };
+
+  Shard* ShardOf(DcId dc) {
+    if (shards_ == nullptr) {
+      return nullptr;
+    }
+    SAT_CHECK(dc < num_dcs_);
+    return &shards_[dc];
+  }
+
+  // Holds `shard`'s lock, or the lock of the unsharded fault and
+  // reconfiguration stats when `shard` is null; an empty guard when locking
+  // is off.
+  std::unique_lock<SpinLock> Guard(Shard* shard) {
     if (mu_ == nullptr) {
       return {};
     }
-    return std::unique_lock<std::mutex>(*mu_);
+    return std::unique_lock<SpinLock>(shard != nullptr ? shard->mu : *mu_);
   }
 
   struct DcFaultStats {
@@ -196,7 +250,8 @@ class Metrics {
   bool reconfig_active_ = false;
   std::vector<DcFaultStats> fault_stats_;
   uint64_t completed_ops_ = 0;
-  std::unique_ptr<std::mutex> mu_;  // null unless EnableLocking
+  std::unique_ptr<SpinLock> mu_;  // null unless EnableLocking
+  std::unique_ptr<Shard[]> shards_;  // per datacenter; null unless EnableLocking
 };
 
 }  // namespace saturn

@@ -51,8 +51,8 @@ ClientProtocolMode ClientModeFor(Protocol protocol) {
   return ClientProtocolMode::kScalar;
 }
 
-Simulator* Cluster::NewLaneSim() {
-  return scheduler_ != nullptr ? scheduler_->AddLane() : &sim_;
+Simulator* Cluster::NewLaneSim(uint32_t affinity) {
+  return scheduler_ != nullptr ? scheduler_->AddLane(affinity) : &sim_;
 }
 
 Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> client_homes,
@@ -120,7 +120,7 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
     DatacenterConfig dc_config = config_.dc;
     dc_config.id = id;
     dc_config.rng_seed = config_.seed ^ 0x5157a7u;
-    Simulator* dc_sim = NewLaneSim();
+    Simulator* dc_sim = NewLaneSim(id);
     std::unique_ptr<DatacenterBase> dc;
     switch (config_.protocol) {
       case Protocol::kEventual:
@@ -179,7 +179,7 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
       DatacenterConfig lane_config = config_.dc;
       lane_config.id = id;
       for (uint32_t g = 0; g < config_.dc.num_gears; ++g) {
-        Simulator* lane_sim = NewLaneSim();
+        Simulator* lane_sim = NewLaneSim(id);
         auto lane = std::make_unique<GearLane>(lane_sim, net_.get(), lane_config, g,
                                                &dc->store());
         net_->Attach(lane.get(), config_.dc_sites[id]);
@@ -321,7 +321,7 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
   std::vector<Simulator*> client_sim_by_home(n, nullptr);
   if (scheduler_ != nullptr) {
     for (DcId id = 0; id < n; ++id) {
-      client_sim_by_home[id] = NewLaneSim();
+      client_sim_by_home[id] = NewLaneSim(id);
     }
   }
   std::function<uint32_t(KeyId)> partition_of;
@@ -383,7 +383,7 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
       mc.max_queue = ol.max_queue;
       mc.mix = ol.mix;
       mc.seed = config_.seed;
-      Simulator* mux_sim = NewLaneSim();
+      Simulator* mux_sim = NewLaneSim(id);
       auto mux = std::make_unique<SessionMux>(mux_sim, net_.get(), &replicas_,
                                               streaming_graph_.get(), plan, metrics_.get(),
                                               oracle_.get(), mc, dc_nodes, remote_target);
@@ -711,6 +711,7 @@ ExperimentResult Cluster::Run(SimTime warmup, SimTime measure, SimTime drain) {
   }
   if (scheduler_ != nullptr) {
     scheduler_->Run(window_end_ + drain);
+    metrics_->MergeShards();
   } else {
     sim_.RunUntil(window_end_ + drain);
   }
