@@ -115,15 +115,12 @@ void DatacenterBase::HandleRead(NodeId from, const ClientRequest& req) {
     resp.op = ClientOpType::kRead;
     resp.client = req.client;
     resp.request_id = req.request_id;
-    {
-      auto guard = store_.GuardFor(req.key);
-      const VersionedValue* v = store_.PartitionFor(req.key).Get(req.key);
-      if (v != nullptr) {
-        resp.label = v->label;
-        resp.value_size = v->size;
-      }
-      AugmentReadResponse(req, v, &resp);
+    const VersionedValue* v = store_.PartitionFor(req.key).Get(req.key);
+    if (v != nullptr) {
+      resp.label = v->label;
+      resp.value_size = v->size;
     }
+    AugmentReadResponse(req, v, &resp);
     if (req.migrate_after) {
       Label floor = MaxLabel(req.client_label, resp.label);
       ClientRequest migrate = req;
@@ -167,10 +164,7 @@ void DatacenterBase::HandleUpdate(NodeId from, const ClientRequest& req) {
     }
 
     // Persist locally (Alg. 2 line 5).
-    {
-      auto guard = store_.GuardFor(req.key);
-      store_.PartitionFor(req.key).Put(req.key, VersionedValue{req.value_size, label});
-    }
+    store_.PartitionFor(req.key).Put(req.key, VersionedValue{req.value_size, label});
     if (oracle_ != nullptr) {
       oracle_->OnApply(config_.id, label.uid);
     }
@@ -252,11 +246,8 @@ SimTime DatacenterBase::ApplyRemoteUpdateImpl(const RemotePayload& payload,
   SimTime visible = completion > min_visible ? completion : min_visible;
 
   auto apply = [this, payload = payload]() {
-    {
-      auto guard = store_.GuardFor(payload.key);
-      store_.PartitionFor(payload.key).Put(
-          payload.key, VersionedValue{payload.value_size, payload.label});
-    }
+    store_.PartitionFor(payload.key).Put(payload.key,
+                                         VersionedValue{payload.value_size, payload.label});
     if (metrics_ != nullptr) {
       metrics_->RecordVisibility(payload.label.origin_dc(), config_.id, payload.created_at,
                                  sim_->Now());

@@ -70,12 +70,6 @@ struct DatacenterConfig {
   uint32_t batch_max_labels = 32;
   uint32_t batch_max_bytes = 1024;
   SimTime batch_deadline = 0;
-  // Intra-DC sharding (Saturn only): each gear gets its own frontend/sink
-  // lane — a GearLane actor owning label generation for its partition —
-  // while this node keeps the store installs, the label sink and the
-  // replication fan-out. Off by default: the single-actor DC is the
-  // fingerprint-pinned configuration.
-  bool sharded_gears = false;
   // Expected distinct keys this datacenter will store (workload config hint).
   // Non-zero pre-sizes the partitioned store's hash tables so million-key
   // runs skip the rehash cascade; zero keeps lazy growth.
@@ -185,11 +179,8 @@ class DatacenterBase : public Actor {
   virtual void DecorateHeartbeat(BulkHeartbeat* hb) { (void)hb; }
 
   // Timestamp floor gear `g` promises never to go below, as used by outbound
-  // bulk heartbeats. Sharded protocols override this to return the floor the
-  // remote gear lane last *reported* — the local Gear object is not the one
-  // generating labels then, and bumping it here would fabricate promises the
-  // lane has not made.
-  virtual int64_t GearHeartbeatFloor(uint32_t g) { return gears_[g]->HeartbeatTimestamp(); }
+  // bulk heartbeats.
+  int64_t GearHeartbeatFloor(uint32_t g) { return gears_[g]->HeartbeatTimestamp(); }
 
   // --- Facilities for subclasses -----------------------------------------
 

@@ -17,8 +17,6 @@ struct WireSizeVisitor {
   }
   uint32_t operator()(const BulkHeartbeat&) const { return 40; }
   uint32_t operator()(const BulkAck&) const { return 16; }
-  uint32_t operator()(const GearCommit& m) const { return 72 + m.value_size; }
-  uint32_t operator()(const GearHeartbeatReport&) const { return 16; }
   uint32_t operator()(const LabelEnvelope&) const { return 48; }
   uint32_t operator()(const LinkAck&) const { return 16; }
   uint32_t operator()(const LabelBatch& m) const {
@@ -43,8 +41,6 @@ struct LinkClassVisitor {
   LinkClass operator()(const RemotePayload&) const { return LinkClass::kBulk; }
   LinkClass operator()(const BulkHeartbeat&) const { return LinkClass::kBulk; }
   LinkClass operator()(const BulkAck&) const { return LinkClass::kBulk; }
-  LinkClass operator()(const GearCommit&) const { return LinkClass::kBulk; }
-  LinkClass operator()(const GearHeartbeatReport&) const { return LinkClass::kControl; }
   LinkClass operator()(const LabelEnvelope&) const { return LinkClass::kMetadataLabels; }
   LinkClass operator()(const LabelBatch&) const { return LinkClass::kMetadataLabels; }
   LinkClass operator()(const LinkAck&) const { return LinkClass::kMetadataAcks; }

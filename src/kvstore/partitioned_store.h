@@ -4,8 +4,6 @@
 #ifndef SRC_KVSTORE_PARTITIONED_STORE_H_
 #define SRC_KVSTORE_PARTITIONED_STORE_H_
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/common/check.h"
@@ -52,23 +50,8 @@ class PartitionedStore {
     return total;
   }
 
-  // Realtime backend, sharded mode: gear lanes read partitions while the
-  // control lane installs into them. Off (the default), GuardFor returns an
-  // empty lock and every access is as lock-free as it always was.
-  void EnableLocking() { locks_ = std::make_unique<std::mutex[]>(partitions_.size()); }
-
-  // Holds the partition's mutex for the guard's lifetime when locking is
-  // enabled; an empty (no-mutex) guard otherwise.
-  std::unique_lock<std::mutex> GuardFor(KeyId key) {
-    if (locks_ == nullptr) {
-      return {};
-    }
-    return std::unique_lock<std::mutex>(locks_[PartitionOf(key)]);
-  }
-
  private:
   std::vector<VersionedStore> partitions_;
-  std::unique_ptr<std::mutex[]> locks_;  // null unless EnableLocking
 };
 
 // Models a storage server's CPU: jobs are served FIFO, one at a time. Used to

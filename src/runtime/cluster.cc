@@ -61,11 +61,6 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
   const uint32_t n = num_dcs();
   SAT_CHECK(n >= 1);
   SAT_CHECK(replicas_.num_dcs() == n);
-  const bool saturn_like = config_.protocol == Protocol::kSaturn ||
-                           config_.protocol == Protocol::kSaturnTimestamp;
-  if (config_.dc.sharded_gears) {
-    SAT_CHECK_MSG(saturn_like, "sharded gear lanes require a Saturn protocol");
-  }
 
   // Trace recorder first: every later component takes a raw pointer, and
   // track registration order (sim, net, DCs in id order, then serializers in
@@ -163,32 +158,6 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
     for (DcId b = 0; b < n; ++b) {
       if (a != b) {
         datacenters_[a]->RegisterPeer(b, datacenters_[b]->node_id());
-      }
-    }
-  }
-
-  // --- Gear lanes (intra-DC sharding) ---------------------------------------
-  if (config_.dc.sharded_gears) {
-    lane_nodes_.assign(n, {});
-    for (DcId id = 0; id < n; ++id) {
-      DatacenterBase* dc = datacenters_[id].get();
-      if (scheduler_ != nullptr) {
-        // Lanes read the store concurrently with the control node's installs.
-        dc->store().EnableLocking();
-      }
-      DatacenterConfig lane_config = config_.dc;
-      lane_config.id = id;
-      for (uint32_t g = 0; g < config_.dc.num_gears; ++g) {
-        Simulator* lane_sim = NewLaneSim(id);
-        auto lane = std::make_unique<GearLane>(lane_sim, net_.get(), lane_config, g,
-                                               &dc->store());
-        net_->Attach(lane.get(), config_.dc_sites[id]);
-        lane->SetControlNode(dc->node_id());
-        if (scheduler_ != nullptr) {
-          scheduler_->BindNode(lane->node_id(), lane_sim);
-        }
-        lane_nodes_[id].push_back(lane->node_id());
-        gear_lanes_.push_back(std::move(lane));
       }
     }
   }
@@ -324,11 +293,6 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
       client_sim_by_home[id] = NewLaneSim(id);
     }
   }
-  std::function<uint32_t(KeyId)> partition_of;
-  if (config_.dc.sharded_gears) {
-    PartitionedStore* store = &datacenters_[0]->store();
-    partition_of = [store](KeyId key) { return store->PartitionOf(key); };
-  }
 
   client_homes_ = client_homes;
   for (uint32_t i = 0; i < client_homes.size(); ++i) {
@@ -346,9 +310,6 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
                                            generator_factory(replicas_, home, i),
                                            metrics_.get(), oracle_.get(), cc, dc_nodes,
                                            remote_target);
-    if (config_.dc.sharded_gears) {
-      client->SetShardRouting(lane_nodes_, partition_of);
-    }
     net_->Attach(client.get(), config_.dc_sites[home]);
     if (scheduler_ != nullptr) {
       scheduler_->BindNode(client->node_id(), client_sim);
@@ -387,9 +348,6 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
       auto mux = std::make_unique<SessionMux>(mux_sim, net_.get(), &replicas_,
                                               streaming_graph_.get(), plan, metrics_.get(),
                                               oracle_.get(), mc, dc_nodes, remote_target);
-      if (config_.dc.sharded_gears) {
-        mux->SetShardRouting(lane_nodes_, partition_of);
-      }
       net_->Attach(mux.get(), config_.dc_sites[id]);
       if (scheduler_ != nullptr) {
         scheduler_->BindNode(mux->node_id(), mux_sim);
@@ -659,9 +617,6 @@ ExperimentResult Cluster::Run(SimTime warmup, SimTime measure, SimTime drain) {
 
   for (auto& dc : datacenters_) {
     dc->Start();
-  }
-  for (auto& lane : gear_lanes_) {
-    lane->Start();
   }
   if (monitor_ != nullptr) {
     monitor_->Start();

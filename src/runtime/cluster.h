@@ -26,7 +26,6 @@
 #include "src/runtime/realtime.h"
 #include "src/runtime/regions.h"
 #include "src/saturn/config_generator.h"
-#include "src/saturn/gear_lane.h"
 #include "src/saturn/metadata_service.h"
 #include "src/saturn/reconfig_controller.h"
 #include "src/saturn/saturn_dc.h"
@@ -80,9 +79,9 @@ struct DynamicTopologyConfig {
 // Execution backend. kSim is the deterministic single-threaded simulator —
 // the correctness oracle, with reproducible executed-event fingerprints.
 // kRealtime drives the same actors wall-clock on a worker pool: every
-// datacenter, gear lane, client group and the serializer tree runs on its own
-// scheduler lane. Realtime runs are not reproducible and reject tracing and
-// dynamic topology.
+// datacenter, client group and the serializer tree runs on its own scheduler
+// lane. Realtime runs are not reproducible and reject tracing and dynamic
+// topology.
 enum class ExecBackend {
   kSim,
   kRealtime,
@@ -251,9 +250,9 @@ class Cluster {
   void BuildMetricsRegistry();
   // The simulator new actors should be built against: a fresh scheduler lane
   // under the realtime backend, the shared deterministic simulator otherwise.
-  // `affinity` (a DcId) groups a datacenter's lanes — its control node, gear
-  // lanes and home clients — onto one lane-group simulator, so their traffic
-  // stays on one worker.
+  // `affinity` (a DcId) groups a datacenter's lanes — the datacenter node and
+  // its home clients — onto one lane-group simulator, so their traffic stays
+  // on one worker.
   Simulator* NewLaneSim(uint32_t affinity = RealtimeScheduler::kNoAffinity);
 
   ClusterConfig config_;
@@ -268,9 +267,6 @@ class Cluster {
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<CausalityOracle> oracle_;
   std::vector<std::unique_ptr<DatacenterBase>> datacenters_;
-  // Sharded mode: per-gear frontend lanes, dc-major gear-minor order.
-  std::vector<std::unique_ptr<GearLane>> gear_lanes_;
-  std::vector<std::vector<NodeId>> lane_nodes_;  // [dc][gear], empty unless sharded
   std::unique_ptr<MetadataService> metadata_;
   TreeTopology tree_;
   std::unique_ptr<TopologyMonitor> monitor_;

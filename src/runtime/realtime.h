@@ -3,13 +3,13 @@
 // The deterministic Simulator drives every actor in one thread and is the
 // correctness oracle. RealtimeScheduler drives the *same* actor code at real
 // speed: the node population is split into lanes, and lanes that talk mostly
-// to each other (a datacenter's control node, its gear lanes and its home
-// clients) share an affinity key and form one lane group. A group owns one
-// Simulator (its virtual clock and event heap), so a send inside it is an
-// exact, lock-free schedule. A pool of worker threads executes whatever
-// groups have events due. Traffic between groups goes through per-group MPSC
-// inboxes — the Network hands deliveries to PostAt() via the LaneRouter seam
-// instead of scheduling on a single heap.
+// to each other (a datacenter and its home clients) share an affinity key
+// and form one lane group. A group owns one Simulator (its virtual clock and
+// event heap), so a send inside it is an exact, lock-free schedule. A pool
+// of worker threads executes whatever groups have events due. Traffic
+// between groups goes through per-group MPSC inboxes — the Network hands
+// deliveries to PostAt() via the LaneRouter seam instead of scheduling on a
+// single heap.
 //
 // Virtual time is decentralized: each group advances its clock as it
 // executes. A drift window bounds how far any group may run ahead of the

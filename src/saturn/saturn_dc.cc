@@ -13,8 +13,7 @@ SaturnDc::SaturnDc(Simulator* sim, Network* net, const DatacenterConfig& config,
       stream_progress_(num_dcs, -1),
       active_(DcSet::FirstN(num_dcs)),
       next_active_(DcSet::FirstN(num_dcs)),
-      stability_origins_(DcSet::FirstN(num_dcs)),
-      sharded_gear_floor_(config.sharded_gears ? config.num_gears : 0, -1) {
+      stability_origins_(DcSet::FirstN(num_dcs)) {
   links_.ConfigureBatching(
       {config.batch_max_labels, config.batch_max_bytes, config.batch_deadline});
   if (config.expected_keys > 0) {
@@ -222,15 +221,6 @@ void SaturnDc::FlushSink() {
   // fences below rely on. Safe: every future label from this DC carries
   // ts >= clock now (GenerateTimestamp is monotone over the clock).
   int64_t ts = clock_.Now();
-  if (config_.sharded_gears) {
-    // Labels are stamped on the gear lanes, whose commits reach this sink a
-    // hop later — the control clock alone promises nothing about them. The
-    // per-source channel floors do: lane commits below a lane's reported
-    // floor were emitted into the sink before this flush.
-    for (uint32_t g = 0; g < config_.num_gears; ++g) {
-      ts = std::min(ts, GearHeartbeatFloor(g));
-    }
-  }
   if (ts <= last_heartbeat_ts_) {
     return;
   }
@@ -290,94 +280,7 @@ void SaturnDc::OnOtherMessage(NodeId from, const Message& msg) {
   }
   if (const auto* ack = std::get_if<LinkAck>(&msg)) {
     links_.OnAck(from, *ack);
-    return;
   }
-  if (const auto* commit = std::get_if<GearCommit>(&msg)) {
-    OnGearCommit(*commit);
-    return;
-  }
-  if (const auto* report = std::get_if<GearHeartbeatReport>(&msg)) {
-    OnGearHeartbeatReport(*report);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Intra-DC sharding: gear-lane ingress
-// --------------------------------------------------------------------------
-
-void SaturnDc::OnGearCommit(const GearCommit& c) {
-  SAT_CHECK(config_.sharded_gears);
-  const Label& label = c.label;
-
-  if (trace_ != nullptr) {
-    trace_->Hop(sim_->Now(), trace_track_, "commit", label.uid, label.ts, label.src);
-    if (trace_->WantJourney(label.uid)) {
-      trace_->JourneyHop(sim_->Now(), label.uid, obs::HopKind::kCommit, trace_track_,
-                         static_cast<int32_t>(config_.id), label.ts, label.src);
-    }
-  }
-
-  // Persist locally (Alg. 2 line 5) — on the control lane, like every other
-  // install, so the store's write side stays single-threaded.
-  {
-    auto guard = store_.GuardFor(c.key);
-    store_.PartitionFor(c.key).Put(c.key, VersionedValue{c.value_size, label});
-  }
-  if (oracle_ != nullptr) {
-    oracle_->OnApply(config_.id, label.uid);
-  }
-
-  // Replicate via bulk-data transfer (Alg. 2 lines 6-7). created_at is the
-  // lane's commit instant so visibility latency spans the full path.
-  RemotePayload payload;
-  payload.label = label;
-  payload.key = c.key;
-  payload.value_size = c.value_size;
-  payload.created_at = c.created_at;
-  DcSet replicas = resolver_(c.key);
-  for (DcId dc : replicas) {
-    if (dc != config_.id) {
-      SAT_CHECK(peer_nodes_[dc] != kInvalidNode);
-      SendBulk(dc, payload);
-    }
-  }
-
-  // Label sink (Alg. 2 line 8).
-  DcSet interest = replicas.Minus(DcSet::Single(config_.id));
-  if (!interest.Empty()) {
-    EmitLabel(label, interest);
-  }
-
-  // Respond only now: the value is installed, so the client's next read —
-  // wherever it routes — observes its own write.
-  ClientResponse resp;
-  resp.op = ClientOpType::kUpdate;
-  resp.client = c.client;
-  resp.request_id = c.request_id;
-  resp.label = label;
-  net_->Send(node_id(), c.client_node, std::move(resp));
-}
-
-void SaturnDc::OnGearHeartbeatReport(const GearHeartbeatReport& report) {
-  SAT_CHECK(config_.sharded_gears && report.gear < config_.num_gears);
-  // Reports arrive FIFO from the lane and the lane's gear is monotone, but be
-  // defensive anyway: floors must never move backwards.
-  if (report.ts > sharded_gear_floor_[report.gear]) {
-    sharded_gear_floor_[report.gear] = report.ts;
-  }
-}
-
-int64_t SaturnDc::GearHeartbeatFloor(uint32_t g) {
-  int64_t own = DatacenterBase::GearHeartbeatFloor(g);
-  if (!config_.sharded_gears) {
-    return own;
-  }
-  // The lane and the control node both stamp labels under source g (updates
-  // there, migrations here); the channel's promise must lower-bound both.
-  // Lane commits below the lane's reported floor reached us before the report
-  // (FIFO lane->control link), so their payloads precede this heartbeat on
-  // the (FIFO) bulk channel.
-  return std::min(own, sharded_gear_floor_[g]);
 }
 
 void SaturnDc::OnStreamEnvelope(NodeId from, const LabelEnvelope& env) {
@@ -647,18 +550,8 @@ bool SaturnDc::WaiterReady(const ClientRequest& req) const {
   // equal or greater timestamp has been processed from every remote DC. The
   // bulk-channel stability bound only counts while in timestamp mode, where
   // stable updates are actually applied.
-  int64_t stream_bound = MinRemoteStreamProgress();
-  if (config_.sharded_gears) {
-    // A sharded origin's stream is causality-compliant but not
-    // timestamp-monotone (lanes race into the sink), so stream progress past
-    // l.ts alone does not prove l's causal past was processed. Demand bulk
-    // stability too: then the orphan-repair drain — bounded by exactly this
-    // minimum, and run before waiters are re-checked — has applied every
-    // arrived payload up to l.ts.
-    stream_bound = std::min(stream_bound, TimestampStable());
-  }
   int64_t ts_stable = ts_mode_ ? TimestampStable() : -1;
-  return l.ts <= stream_bound || l.ts <= ts_stable;
+  return l.ts <= MinRemoteStreamProgress() || l.ts <= ts_stable;
 }
 
 void SaturnDc::CheckAttachWaiters() {

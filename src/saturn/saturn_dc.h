@@ -156,22 +156,10 @@ class SaturnDc : public DatacenterBase {
     return CostModel::AsTime(config_.costs.scalar_meta_us);
   }
 
-  // Sharded mode: the per-source floor advertised on the bulk channel is the
-  // min of the lane's last heartbeat report and the control-node gear's own
-  // promise (control gears still stamp migration and migrate-after labels
-  // under the same SourceIds).
-  int64_t GearHeartbeatFloor(uint32_t g) override;
-
  private:
   using LabelKey = std::pair<SourceId, int64_t>;
 
   static LabelKey KeyOf(const Label& label) { return {label.src, label.ts}; }
-
-  // --- Intra-DC sharding (gear lanes) -------------------------------------
-  // A lane committed a local update: install, replicate and respond — the
-  // control-node half of DatacenterBase::HandleUpdate's completion closure.
-  void OnGearCommit(const GearCommit& c);
-  void OnGearHeartbeatReport(const GearHeartbeatReport& report);
 
   // --- Label sink ---------------------------------------------------------
   void EmitLabel(const Label& label, DcSet interest);
@@ -292,11 +280,6 @@ class SaturnDc : public DatacenterBase {
   Label failover_change_label_ = kBottomLabel;
   DcSet failover_change_seen_;   // remote DCs whose change label arrived
   int64_t failover_fence_ = -1;  // max change-label ts seen (incl. our own)
-
-  // Sharded mode: per-gear floor from the lanes' heartbeat reports (-1 until
-  // the first report — the channel promises nothing about a lane it has not
-  // heard from). Empty when sharding is off.
-  std::vector<int64_t> sharded_gear_floor_;
 
   // Migration labels delivered to this datacenter by the stream.
   std::set<LabelKey> completed_migrations_;

@@ -50,15 +50,7 @@ ClientRequest Client::BaseRequest(ClientOpType op) {
 void Client::Send(DcId dc, ClientRequest req) {
   inflight_request_ = req.request_id;
   issued_at_ = sim_->Now();
-  NodeId dest = dc_nodes_[dc];
-  if (!lane_nodes_.empty() && !req.migrate_after &&
-      (req.op == ClientOpType::kRead || req.op == ClientOpType::kUpdate)) {
-    const std::vector<NodeId>& lanes = lane_nodes_[dc];
-    if (!lanes.empty()) {
-      dest = lanes[partition_of_(req.key)];
-    }
-  }
-  net_->Send(node_id(), dest, std::move(req));
+  net_->Send(node_id(), dc_nodes_[dc], std::move(req));
 }
 
 void Client::NextOp() {

@@ -53,18 +53,6 @@ class Client : public Actor {
          const ClientConfig& config, std::vector<NodeId> dc_nodes,
          std::function<DcId(KeyId, DcId)> remote_target);
 
-  // Intra-DC sharding: route plain reads/updates straight to the owning gear
-  // lane instead of the datacenter's control node. `lane_nodes[dc]` lists a
-  // sharded datacenter's lane nodes indexed by partition (empty for unsharded
-  // datacenters); `partition_of` is the store's key partitioner. Attach,
-  // migrate and operate-and-migrate requests keep going to the control node,
-  // which owns that state.
-  void SetShardRouting(std::vector<std::vector<NodeId>> lane_nodes,
-                       std::function<uint32_t(KeyId)> partition_of) {
-    lane_nodes_ = std::move(lane_nodes);
-    partition_of_ = std::move(partition_of);
-  }
-
   // Begins the closed loop.
   void Start();
 
@@ -109,8 +97,6 @@ class Client : public Actor {
   ClientConfig config_;
   std::vector<NodeId> dc_nodes_;
   std::function<DcId(KeyId, DcId)> remote_target_;
-  std::vector<std::vector<NodeId>> lane_nodes_;  // empty unless sharded
-  std::function<uint32_t(KeyId)> partition_of_;
 
   void AddDep(const ExplicitDep& dep);
 

@@ -159,10 +159,10 @@ void SessionMux::StartOp(uint64_t slot, SimTime issued_at) {
     s.phase = kMigrateOut;
     ClientRequest req = BaseRequest(slot, ClientOpType::kMigrate);
     req.target_dc = target;
-    Send(slot, config_.home, std::move(req));
+    Send(config_.home, std::move(req));
   } else {
     s.phase = kAttachTarget;
-    Send(slot, target, BaseRequest(slot, ClientOpType::kAttach));
+    Send(target, BaseRequest(slot, ClientOpType::kAttach));
   }
 }
 
@@ -195,20 +195,11 @@ void SessionMux::SendOp(uint64_t slot, Phase phase) {
   if (s.op_is_update != 0 && oracle_ != nullptr) {
     oracle_->OnClientUpdate(UserOf(slot), req.request_id, replicas_->ReplicasOf(s.op_key));
   }
-  Send(slot, dc, std::move(req));
+  Send(dc, std::move(req));
 }
 
-void SessionMux::Send(uint64_t slot, DcId dc, ClientRequest req) {
-  (void)slot;
-  NodeId dest = dc_nodes_[dc];
-  if (!lane_nodes_.empty() && !req.migrate_after &&
-      (req.op == ClientOpType::kRead || req.op == ClientOpType::kUpdate)) {
-    const std::vector<NodeId>& lanes = lane_nodes_[dc];
-    if (!lanes.empty()) {
-      dest = lanes[partition_of_(req.key)];
-    }
-  }
-  net_->Send(node_id(), dest, std::move(req));
+void SessionMux::Send(DcId dc, ClientRequest req) {
+  net_->Send(node_id(), dc_nodes_[dc], std::move(req));
 }
 
 void SessionMux::HandleMessage(NodeId from, const Message& msg) {
@@ -269,7 +260,7 @@ void SessionMux::OnResponse(uint64_t slot, const ClientResponse& resp) {
       }
       s.phase = kAttachHome;
       s.issued_at = sim_->Now();
-      Send(slot, config_.home, BaseRequest(slot, ClientOpType::kAttach));
+      Send(config_.home, BaseRequest(slot, ClientOpType::kAttach));
       return;
     }
 
@@ -278,7 +269,7 @@ void SessionMux::OnResponse(uint64_t slot, const ClientResponse& resp) {
       s.label = MaxLabel(s.label, resp.label);
       s.phase = kAttachTarget;
       s.issued_at = sim_->Now();
-      Send(slot, static_cast<DcId>(s.target_dc), BaseRequest(slot, ClientOpType::kAttach));
+      Send(static_cast<DcId>(s.target_dc), BaseRequest(slot, ClientOpType::kAttach));
       return;
 
     case kAttachTarget:

@@ -77,13 +77,6 @@ class SessionMux : public Actor {
              CausalityOracle* oracle, const SessionMuxConfig& config,
              std::vector<NodeId> dc_nodes, std::function<DcId(KeyId, DcId)> remote_target);
 
-  // Intra-DC sharding: same contract as Client::SetShardRouting.
-  void SetShardRouting(std::vector<std::vector<NodeId>> lane_nodes,
-                       std::function<uint32_t(KeyId)> partition_of) {
-    lane_nodes_ = std::move(lane_nodes);
-    partition_of_ = std::move(partition_of);
-  }
-
   // Begins the arrival schedule.
   void Start();
 
@@ -137,7 +130,7 @@ class SessionMux : public Actor {
   void OnArrival();
   void StartOp(uint64_t slot, SimTime issued_at);
   void SendOp(uint64_t slot, Phase phase);
-  void Send(uint64_t slot, DcId dc, ClientRequest req);
+  void Send(DcId dc, ClientRequest req);
   ClientRequest BaseRequest(uint64_t slot, ClientOpType op);
   void OnResponse(uint64_t slot, const ClientResponse& resp);
   void CompleteOp(uint64_t slot);
@@ -155,8 +148,6 @@ class SessionMux : public Actor {
   SessionMuxConfig config_;
   std::vector<NodeId> dc_nodes_;
   std::function<DcId(KeyId, DcId)> remote_target_;
-  std::vector<std::vector<NodeId>> lane_nodes_;  // empty unless sharded
-  std::function<uint32_t(KeyId)> partition_of_;
 
   Rng rng_;
   std::unique_ptr<ZipfSampler> session_zipf_;  // null = uniform

@@ -74,18 +74,8 @@ TEST(MessageWireSize, SpilledContainersStillCountEveryEntry) {
   EXPECT_EQ(MessageWireSize(copy), MessageWireSize(payload));
 }
 
-TEST(MessageWireSize, GearCommitCountsPayloadValue) {
-  // The lane → control commit carries the update's value, so it is priced
-  // like the frontend write it stands in for, not like a metadata frame.
-  GearCommit commit;
-  EXPECT_EQ(MessageWireSize(commit), 72u);
-  commit.value_size = 512;
-  EXPECT_EQ(MessageWireSize(commit), 72u + 512u);
-}
-
 TEST(MessageWireSize, FixedSizeVariants) {
   EXPECT_EQ(MessageWireSize(BulkHeartbeat{}), 40u);
-  EXPECT_EQ(MessageWireSize(GearHeartbeatReport{}), 16u);
   EXPECT_EQ(MessageWireSize(BulkAck{}), 16u);
   EXPECT_EQ(MessageWireSize(LabelEnvelope{}), 48u);
   EXPECT_EQ(MessageWireSize(LinkAck{}), 16u);
@@ -132,8 +122,6 @@ TEST(MessageLinkClass, ClassifiesEveryVariant) {
   EXPECT_EQ(MessageLinkClass(LinkAck{}), LinkClass::kMetadataAcks);
   EXPECT_EQ(MessageLinkClass(ChainForward{}), LinkClass::kChain);
   EXPECT_EQ(MessageLinkClass(ChainAck{}), LinkClass::kChain);
-  EXPECT_EQ(MessageLinkClass(GearCommit{}), LinkClass::kBulk);
-  EXPECT_EQ(MessageLinkClass(GearHeartbeatReport{}), LinkClass::kControl);
   EXPECT_EQ(MessageLinkClass(GstBroadcast{}), LinkClass::kControl);
   EXPECT_EQ(MessageLinkClass(StableVectorBroadcast{}), LinkClass::kControl);
   EXPECT_EQ(MessageLinkClass(ProbePing{}), LinkClass::kControl);

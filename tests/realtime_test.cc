@@ -52,14 +52,13 @@ void CheckSafetyAndProgress(const RealtimeVerdict& v) {
   EXPECT_GT(v.executed_events, 0u) << v.context;
 }
 
-RealtimeVerdict RunRealtime(Protocol protocol, bool sharded, uint64_t seed,
+RealtimeVerdict RunRealtime(Protocol protocol, uint64_t seed,
                             const ChaosOptions* chaos = nullptr,
                             unsigned workers = RealtimeWorkers()) {
   ClusterConfig config = SmallClusterConfig(protocol);
   config.seed = seed;
   config.backend = ExecBackend::kRealtime;
   config.realtime.workers = workers;
-  config.dc.sharded_gears = sharded;
   Cluster cluster(config, SmallReplicas(config, CorrelationPattern::kFull),
                   UniformClientHomes(3, 3), SyntheticGenerators(DefaultWorkload()));
 
@@ -74,8 +73,8 @@ RealtimeVerdict RunRealtime(Protocol protocol, bool sharded, uint64_t seed,
   cluster.Run(Seconds(1), Seconds(2), /*drain=*/Seconds(2));
 
   RealtimeVerdict v;
-  v.context = std::string("protocol=") + ProtocolName(protocol) +
-              (sharded ? " sharded" : "") + " seed=" + std::to_string(seed) +
+  v.context = std::string("protocol=") + ProtocolName(protocol) + " seed=" +
+              std::to_string(seed) +
               (chaos != nullptr ? " plan=[" + plan.ToString() + "]" : "");
   v.oracle_clean = cluster.oracle() != nullptr && cluster.oracle()->Clean();
   if (!v.oracle_clean && cluster.oracle() != nullptr &&
@@ -98,7 +97,7 @@ RealtimeVerdict RunRealtime(Protocol protocol, bool sharded, uint64_t seed,
 }
 
 TEST(Realtime, SaturnSmoke) {
-  RealtimeVerdict v = RunRealtime(Protocol::kSaturn, /*sharded=*/false, 1234);
+  RealtimeVerdict v = RunRealtime(Protocol::kSaturn, 1234);
   CheckSafetyAndProgress(v);
   // One lane per DC, one per client home-group, one for the metadata
   // service: 3 + 3 + 1 here. Closed-loop clients bundle per home.
@@ -112,22 +111,12 @@ TEST(Realtime, AffinityHoldsWithSpareWorkers) {
   // More workers than lane groups: the groups stay per datacenter (splitting
   // them would send intra-DC traffic across threads) and the spare workers
   // idle. Safety and liveness hold with the extra threads sweeping.
-  RealtimeVerdict v = RunRealtime(Protocol::kSaturn, /*sharded=*/false, 1234,
-                                  /*chaos=*/nullptr, /*workers=*/6);
+  RealtimeVerdict v =
+      RunRealtime(Protocol::kSaturn, 1234, /*chaos=*/nullptr, /*workers=*/6);
   CheckSafetyAndProgress(v);
   EXPECT_EQ(v.lanes, 7u) << v.context;
   EXPECT_EQ(v.groups, 4u) << v.context;
   EXPECT_EQ(v.utilization_entries, 6u) << v.context;
-}
-
-TEST(Realtime, ShardedLanesRunConcurrently) {
-  RealtimeVerdict v = RunRealtime(Protocol::kSaturn, /*sharded=*/true, 1234);
-  CheckSafetyAndProgress(v);
-  // Sharding adds a lane per gear per DC (3 DCs x 2 gears here) on top of
-  // the 7 lanes of the unsharded deployment. Each DC's gear lanes join its
-  // group, so the groups stay at 4.
-  EXPECT_EQ(v.lanes, 13u) << v.context;
-  EXPECT_EQ(v.groups, 4u) << v.context;
 }
 
 TEST(Realtime, UtilizationSeriesSampledOverWallClock) {
@@ -161,7 +150,7 @@ TEST(Realtime, UtilizationSeriesSampledOverWallClock) {
 
 TEST(Realtime, GentleRainSmoke) {
   // The backend is protocol-agnostic: a non-Saturn datacenter on lanes.
-  RealtimeVerdict v = RunRealtime(Protocol::kGentleRain, /*sharded=*/false, 99);
+  RealtimeVerdict v = RunRealtime(Protocol::kGentleRain, 99);
   CheckSafetyAndProgress(v);
 }
 
@@ -178,7 +167,7 @@ TEST(Realtime, SurvivesChaosSchedules) {
     options.allow_lossy = true;
     options.allow_crash = true;
     options.tree_kill_percent = 0;
-    RealtimeVerdict v = RunRealtime(Protocol::kSaturn, /*sharded=*/true, seed, &options);
+    RealtimeVerdict v = RunRealtime(Protocol::kSaturn, seed, &options);
     CheckSafetyAndProgress(v);
   }
 }

@@ -28,6 +28,9 @@
 namespace saturn {
 namespace {
 
+// Upper bound on --workers: the realtime backend starts one thread per worker.
+constexpr long kMaxWorkers = 256;
+
 // Strict numeric parsing: the whole string must be one number, so a typo
 // such as `--dcs=abc` or `--seconds=3s` is an error rather than a silent 0.
 bool ParseLong(const std::string& text, long* out) {
@@ -64,7 +67,7 @@ const std::set<std::string> kKnownFlags = {
     "leave-drain", "max-queue", "metrics-out", "open-loop", "oracle", "pattern",
     "probe-interval", "protocol", "prune", "reconfig-cooldown", "reconfig-degrade",
     "reconfig-eval", "reconfig-hysteresis", "remote-reads", "rtt-multiplier",
-    "seconds", "seed", "seeds", "sharded-gears", "static-detector", "stop-clients",
+    "seconds", "seed", "seeds", "static-detector", "stop-clients",
     "timeseries-out", "timeseries-window", "trace-label", "trace-out", "trace-ring",
     "tree", "value", "warmup", "workers", "writes", "zipf", "zipf-sessions",
 };
@@ -151,11 +154,10 @@ void Usage() {
       "  --edges=N           streaming graph attachment m (mean degree 2m) (15)\n"
       "  --expected-keys=N   pre-size each DC's store for N distinct keys  (0)\n"
       "  --gears=N           storage servers per datacenter             (4)\n"
-      "  --sharded-gears     saturn: per-gear frontend/sink lanes (DESIGN.md §12)\n"
       "  --backend=sim|realtime  execution backend: deterministic simulator or\n"
       "                      wall-clock worker threads (non-reproducible;\n"
       "                      single-run only, no drift/trace/backup)     (sim)\n"
-      "  --workers=N         realtime backend worker threads             (2)\n"
+      "  --workers=N         realtime backend worker threads, 1..256     (2)\n"
       "  --seconds=N         measured simulated seconds                 (3)\n"
       "  --warmup=N          warm-up simulated seconds                  (1)\n"
       "  --tree=generated|star  Saturn tree configuration               (generated)\n"
@@ -292,15 +294,6 @@ bool BuildSetup(const Flags& flags, SimSetup* setup, int* exit_code) {
   config.star_hub = static_cast<SiteId>(flags.GetInt("hub", kIreland));
   config.chain_replicas = static_cast<uint32_t>(flags.GetInt("chain", 1));
   config.cops_prune = flags.GetInt("prune", 1) != 0;
-  if (flags.Has("sharded-gears")) {
-    if (protocol_it->second != Protocol::kSaturn &&
-        protocol_it->second != Protocol::kSaturnTimestamp) {
-      std::fprintf(stderr, "--sharded-gears requires a Saturn protocol\n");
-      *exit_code = 2;
-      return false;
-    }
-    config.dc.sharded_gears = true;
-  }
   config.dc.batch_deadline = Millis(flags.GetInt("batch-deadline", 0));
   config.dc.batch_max_labels = static_cast<uint32_t>(flags.GetInt("batch-max-labels", 32));
   config.dc.batch_max_bytes = static_cast<uint32_t>(flags.GetInt("batch-max-bytes", 1024));
@@ -486,8 +479,16 @@ bool BuildSetup(const Flags& flags, SimSetup* setup, int* exit_code) {
       *exit_code = 2;
       return false;
     }
+    // Range-check the signed value: a cast would turn -1 into a 4-billion
+    // thread pool.
+    long workers = flags.GetInt("workers", 2);
+    if (workers < 1 || workers > kMaxWorkers) {
+      std::fprintf(stderr, "--workers must be 1..%ld\n", kMaxWorkers);
+      *exit_code = 2;
+      return false;
+    }
     config.backend = ExecBackend::kRealtime;
-    config.realtime.workers = static_cast<unsigned>(flags.GetInt("workers", 2));
+    config.realtime.workers = static_cast<unsigned>(workers);
     // Wall-clock worker-utilization series (50 ms windows): realtime's
     // telemetry counterpart to --timeseries-out, printed after the run.
     config.realtime.utilization_sample_ns = 50ull * 1000 * 1000;
